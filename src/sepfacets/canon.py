@@ -126,10 +126,6 @@ def generate_all(n: int) -> Iterator[Graph]:
     return iter(_classes(n, False))
 
 
-def count_connected_classes(n: int) -> int:
-    return len(_classes(n, True))
-
-
 def _labeled_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices (reference path for tests)."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

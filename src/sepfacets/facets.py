@@ -12,7 +12,10 @@ harness:
 * count_facets sums multiplicities over facet subgraphs: the unordered
   bipartitions (V1, V2) whose crossing edges form a spanning connected
   subgraph. Each such cut contributes the facet count of the bipartite
-  quotient obtained by contracting all non-crossing edges.
+  quotient obtained by contracting all non-crossing edges. Cuts are scanned
+  per biconnected block and the block sums multiplied; each quotient is
+  counted on bitmasks without building a Graph. mu_of recomputes a cut's
+  multiplicity through contract_edges and count_bipartite_strict instead.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph by scanning dominating sets S of the base: each contributes
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from .graphs import (
     Edge,
@@ -31,10 +35,12 @@ from .graphs import (
     Mask,
     bipartition,
     bit,
+    blocks,
     component_count_within,
     contract_edges,
     edges,
     full_mask,
+    induced,
     is_connected,
     iter_bits,
     reach,
@@ -125,25 +131,92 @@ def enumerate_facets_oracle(g: Graph) -> list[FacetFunction]:
     return [FacetFunction(v) for v in sorted(found)]
 
 
-def _cross_rows(g: Graph, part2: Mask) -> list[Mask]:
-    """Adjacency restricted to edges crossing the (complement, part2) cut."""
-    rows = []
-    for v in range(g.n):
-        if part2 >> v & 1:
-            rows.append(g.adj[v] & ~part2)
-        else:
-            rows.append(g.adj[v] & part2)
-    return rows
+def _strict_labelings(nbrs: list[Mask]) -> int:
+    """Homomorphisms from a connected bipartite graph into the integer path.
+
+    nbrs[k] is the neighbour mask of vertex k; the root 0 is labelled 0.
+    Vertices are labelled in BFS order, so every vertex after the root has
+    a labelled neighbour. Those neighbours all share one parity, and the
+    vertex may take a value adjacent to each of them: two values when they
+    agree, one when they span 2, none otherwise. A tree skips the search:
+    each of its q - 1 edges picks a sign freely.
+    """
+    q = len(nbrs)
+    if sum(row.bit_count() for row in nbrs) == 2 * (q - 1):
+        return 1 << (q - 1)
+    order = [0]
+    index = [0] * q
+    seen = 1
+    for k in order:
+        for j in iter_bits(nbrs[k] & ~seen):
+            seen |= 1 << j
+            index[j] = len(order)
+            order.append(j)
+    back = []
+    for i, k in enumerate(order):
+        back.append([index[j] for j in iter_bits(nbrs[k]) if index[j] < i])
+    last = q - 1
+    vals = [0] * q
+
+    def extend(i: int) -> int:
+        lo = hi = vals[back[i][0]]
+        for u in back[i]:
+            v = vals[u]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+        if lo == hi:
+            if i == last:
+                return 2
+            vals[i] = lo - 1
+            total = extend(i + 1)
+            vals[i] = lo + 1
+            return total + extend(i + 1)
+        if hi - lo == 2:
+            if i == last:
+                return 1
+            vals[i] = lo + 1
+            return extend(i + 1)
+        return 0
+
+    return extend(1)
 
 
-def _quotient_count(g: Graph, part2: Mask) -> int:
-    """Facet multiplicity of the cut: contract non-crossing edges, count strict."""
-    non_cross = []
-    for i, j in edges(g):
-        if (part2 >> i & 1) == (part2 >> j & 1):
-            non_cross.append((i, j))
-    quotient = contract_edges(g, non_cross)
-    return count_bipartite_strict(quotient)
+def _cuts(g: Graph) -> Iterator[tuple[Mask, int]]:
+    """Spanning connected cuts of g as (part2, mu), in ascending part2 order.
+
+    Vertex 0 is pinned to part1, so each unordered cut appears once. mu is
+    the strict labeling count of the cut's bipartite quotient: its vertices
+    are the components of the same-side edges and its edges come from the
+    crossing ones. The quotient is kept as neighbour masks, not as a Graph.
+    """
+    n = g.n
+    adj = g.adj
+    full = full_mask(n)
+    for half in range(1, 1 << (n - 1)):
+        part2 = half << 1
+        part1 = full ^ part2
+        cross = [adj[v] & (part1 if part2 >> v & 1 else part2) for v in range(n)]
+        if not all(cross) or reach(cross, 1, full) != full:
+            continue
+        comps = []
+        for side in (part1, part2):
+            while side:
+                comp = reach(adj, side & -side, side)
+                comps.append(comp)
+                side ^= comp
+        nbrs = []
+        for k, comp in enumerate(comps):
+            touched = 0
+            for v in iter_bits(comp):
+                touched |= adj[v]
+            row = 0
+            for j, other in enumerate(comps):
+                if touched & other and j != k:
+                    row |= 1 << j
+            nbrs.append(row)
+        yield part2, _strict_labelings(nbrs)
 
 
 def enumerate_facet_subgraphs(g: Graph) -> list[FacetSubgraph]:
@@ -154,49 +227,60 @@ def enumerate_facet_subgraphs(g: Graph) -> list[FacetSubgraph]:
     unordered cut appears once; output order follows the part2 bitmask.
     """
     _require_connected(g)
-    n = g.n
-    full = full_mask(n)
-    out = []
-    for half in range(1, 1 << (n - 1)):
-        part2 = half << 1
-        rows = _cross_rows(g, part2)
-        if reach(rows, 1, full) != full:
-            continue
-        cross = tuple(
-            (i, j) for i, j in edges(g) if (part2 >> i & 1) != (part2 >> j & 1)
+    full = full_mask(g.n)
+    all_edges = edges(g)
+    return [
+        FacetSubgraph(
+            full ^ part2,
+            part2,
+            tuple((i, j) for i, j in all_edges if (part2 >> i ^ part2 >> j) & 1),
+            mu,
         )
-        mu = _quotient_count(g, part2)
-        out.append(FacetSubgraph(full ^ part2, part2, cross, mu))
-    return out
+        for part2, mu in _cuts(g)
+    ]
 
 
 def mu_of(g: Graph, h: FacetSubgraph) -> int:
-    """Number of facets sharing the cut h, recomputed from g."""
+    """Number of facets sharing the cut h, recomputed from g.
+
+    This is the independent reference for the multiplicities of
+    enumerate_facet_subgraphs: it contracts the non-crossing edges into a
+    quotient Graph (contract_edges) and counts its strict labelings by sign
+    enumeration (count_bipartite_strict).
+    """
     full = full_mask(g.n)
     if h.part1 & h.part2 or (h.part1 | h.part2) != full or not h.part1 & 1:
         raise GraphError("facet subgraph does not partition this graph")
-    expected = tuple(
-        (i, j) for i, j in edges(g) if (h.part2 >> i & 1) != (h.part2 >> j & 1)
-    )
-    if expected != h.cross_edges:
+    cross = []
+    non_cross = []
+    for i, j in edges(g):
+        if (h.part2 >> i & 1) != (h.part2 >> j & 1):
+            cross.append((i, j))
+        else:
+            non_cross.append((i, j))
+    if tuple(cross) != h.cross_edges:
         raise GraphError("facet subgraph was not produced from this graph")
-    rows = _cross_rows(g, h.part2)
+    rows = [0] * g.n
+    for i, j in cross:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     if reach(rows, 1, full) != full:
         raise GraphError("cut is not spanning connected in this graph")
-    return _quotient_count(g, h.part2)
+    return count_bipartite_strict(contract_edges(g, non_cross))
 
 
 def count_facets(g: Graph) -> int:
-    """Facet count via the cut decomposition (sum of multiplicities)."""
+    """Facet count via the cut decomposition, multiplied over blocks.
+
+    The facet count is multiplicative under 1-sums, so it is the product,
+    over the biconnected blocks, of each block's sum of cut multiplicities.
+    """
     _require_connected(g)
-    n = g.n
-    full = full_mask(n)
-    total = 0
-    for half in range(1, 1 << (n - 1)):
-        part2 = half << 1
-        rows = _cross_rows(g, part2)
-        if reach(rows, 1, full) == full:
-            total += _quotient_count(g, part2)
+    full = full_mask(g.n)
+    total = 1
+    for vmask, _ in blocks(g):
+        block = g if vmask == full else induced(g, vmask)
+        total *= sum(mu for _, mu in _cuts(block))
     return total
 
 

@@ -105,14 +105,6 @@ def has_edge(g: Graph, i: int, j: int) -> bool:
     return bool(g.adj[i] >> j & 1)
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.adj[v].bit_count()
-
-
-def neighborhood(g: Graph, v: int) -> Mask:
-    return g.adj[v]
-
-
 def closed_neighborhood(g: Graph, v: int) -> Mask:
     return g.adj[v] | bit(v)
 
@@ -193,10 +185,6 @@ def bipartition(g: Graph) -> tuple[Mask, Mask] | None:
         if g.adj[v] & part1:
             return None
     return part0, part1
-
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
 
 
 def induced(g: Graph, s: Mask) -> Graph:

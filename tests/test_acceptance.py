@@ -34,6 +34,7 @@ from sepfacets.graphs import (
     star_graph,
 )
 from sepfacets.harness import (
+    _partitions,
     check_bipartite_minimum,
     check_bipartite_monotonicity,
     check_double_suspension,
@@ -69,16 +70,6 @@ def test_criterion_1_example_graph():
     if elapsed >= 1.0:
         failures.append(f"took {elapsed:.2f}s, budget 1s")
     report(1, failures, f"example graph, {elapsed * 1000:.0f} ms")
-
-
-def _partitions(total, biggest=None):
-    biggest = biggest or total
-    if total == 0:
-        yield ()
-        return
-    for head in range(min(total, biggest), 0, -1):
-        for tail in _partitions(total - head, head):
-            yield (head,) + tail
 
 
 def test_criterion_2_closed_forms():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -57,6 +58,25 @@ def test_count_method_preconditions(capsys):
 def test_count_rejects_disconnected(capsys):
     code, _, err = run(capsys, "count", "--edges", "4 2;0 1;2 3")
     assert code == 1 and "connected" in err
+
+
+def _spec(n, edge_list):
+    return f"{n} {len(edge_list)};" + ";".join(f"{i} {j}" for i, j in edge_list)
+
+
+@pytest.mark.parametrize("n, edge_list, expected", [
+    # chain of 20 triangles, each glued to the last at one vertex
+    (41, [e for k in range(0, 40, 2) for e in ((k, k + 1), (k + 1, k + 2), (k, k + 2))],
+     6 ** 20),
+    (40, [(i, i + 1) for i in range(39)], 2 ** 39),
+])
+def test_count_multiplies_over_blocks(capsys, n, edge_list, expected):
+    # one scan of the whole graph would visit 2^(n-1) cuts; per block it is 1 or 3
+    start = time.monotonic()
+    code, out, _ = run(capsys, "count", "--edges", _spec(n, edge_list))
+    elapsed = time.monotonic() - start
+    assert code == 0 and out == f"{expected}\n"
+    assert elapsed < 1.0
 
 
 def test_facets_output(capsys):

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
+from sepfacets.canon import generate_connected
 from sepfacets.facets import (
     FacetSubgraph,
     count_bipartite_strict,
@@ -19,6 +20,7 @@ from sepfacets.graphs import (
     bipartition,
     complete_bipartite,
     complete_graph,
+    contract_edges,
     cycle_graph,
     edges,
     empty_graph,
@@ -219,13 +221,17 @@ def test_q_value_bounds_suspension(g):
     assert count_facets(suspension(g)) <= subgraph_component_value(g)
 
 
-@settings(max_examples=40, deadline=None)
-@given(graph_strategy(min_n=2, max_n=6, connected=True))
-def test_quotients_are_connected_bipartite(g):
-    from sepfacets.graphs import contract_edges
-
-    for h in enumerate_facet_subgraphs(g):
-        cross = set(h.cross_edges)
-        quotient = contract_edges(g, [e for e in edges(g) if e not in cross])
-        assert is_connected(quotient)
-        assert bipartition(quotient) is not None
+def test_quotients_are_connected_bipartite():
+    # Every class up to 6 vertices: each cut's mu (counted on masks) matches
+    # the quotient Graph built by contract_edges, and the block product of
+    # count_facets matches the whole-graph sum over cuts.
+    for n in range(2, 7):
+        for g in generate_connected(n):
+            subs = enumerate_facet_subgraphs(g)
+            for h in subs:
+                cross = set(h.cross_edges)
+                quotient = contract_edges(g, [e for e in edges(g) if e not in cross])
+                assert is_connected(quotient)
+                assert bipartition(quotient) is not None
+                assert h.mu == count_bipartite_strict(quotient)
+            assert count_facets(g) == sum(h.mu for h in subs)
