@@ -344,16 +344,6 @@ def is_dominating_set(g: Graph, s: Mask) -> bool:
     return cover == full_mask(g.n)
 
 
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    """Apply the permutation old->new to every vertex."""
-    rows = [0] * g.n
-    for i, j in edges(g):
-        a, b = perm[i], perm[j]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return Graph(g.n, tuple(rows))
-
-
 def blocks(g: Graph) -> list[tuple[Mask, list[Edge]]]:
     """Biconnected components as (vertex_mask, edge_list); bridges count.
 
@@ -377,24 +367,35 @@ def blocks(g: Graph) -> list[tuple[Mask, list[Edge]]]:
             vmask |= bit(a) | bit(b)
         out.append((vmask, sorted(tuple(sorted(e)) for e in blk)))
 
-    def dfs(u: int, parent: int) -> None:
-        nonlocal timer
-        disc[u] = low[u] = timer
+    for root in range(g.n):
+        if disc[root]:
+            continue
+        disc[root] = low[root] = timer
         timer += 1
-        for w in iter_bits(g.adj[u]):
-            if disc[w] == 0:
-                stack.append((u, w))
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    emit((u, w))
-            elif w != parent and disc[w] < disc[u]:
-                stack.append((u, w))
-                low[u] = min(low[u], disc[w])
-
-    for v in range(g.n):
-        if disc[v] == 0:
-            dfs(v, -1)
+        # Explicit DFS frames [vertex, its parent, neighbours not yet tried],
+        # so long paths and trees do not hit the recursion limit.
+        frames = [[root, -1, g.adj[root]]]
+        while frames:
+            frame = frames[-1]
+            u, parent, todo = frame
+            if todo:
+                low_bit = todo & -todo
+                frame[2] = todo ^ low_bit
+                w = low_bit.bit_length() - 1
+                if disc[w] == 0:
+                    stack.append((u, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    frames.append([w, u, g.adj[w]])
+                elif w != parent and disc[w] < disc[u]:
+                    stack.append((u, w))
+                    low[u] = min(low[u], disc[w])
+                continue
+            frames.pop()
+            if parent >= 0:
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    emit((parent, u))
     return out
 
 

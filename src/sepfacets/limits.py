@@ -2,8 +2,10 @@
 
 Everything is tuned for desk-scale experiments: vertex sets are bitmasks,
 the generator enumerates isomorphism classes exhaustively, and canonical
-forms are found by pruned permutation search. The caps keep those paths
-honest. SEP_MAX_N lifts them at your own risk (memory and time grow fast).
+forms are found by a branch-and-bound search over degree-sorted vertex
+orderings that skips swaps of twin vertices. Both grow exponentially with
+n (n = 8 takes a few seconds), so the caps keep those paths honest.
+SEP_MAX_N lifts them at your own risk (memory and time grow fast).
 """
 
 import os
@@ -45,5 +47,5 @@ def generator_limit() -> int:
 
 
 def canonical_limit() -> int:
-    """Largest n accepted by the brute-force canonical form."""
+    """Largest n accepted by canonical_form, whose ordering search is exponential in n."""
     return max(DEFAULT_CANONICAL_LIMIT, generator_limit())

@@ -112,6 +112,23 @@ def ref_is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """Apply the permutation old->new to every vertex."""
+    rows = [0] * g.n
+    for i, j in edges(g):
+        a, b = perm[i], perm[j]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return Graph(g.n, tuple(rows))
+
+
+def labeled_graphs(n):
+    """Every labeled graph on n vertices."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
 @st.composite
 def graph_strategy(draw, min_n=1, max_n=6, connected=False):
     n = draw(st.integers(min_value=min_n, max_value=max_n))

@@ -235,3 +235,8 @@ def test_quotients_are_connected_bipartite():
                 assert bipartition(quotient) is not None
                 assert h.mu == count_bipartite_strict(quotient)
             assert count_facets(g) == sum(h.mu for h in subs)
+
+
+def test_count_long_path_beyond_recursion_limit(monkeypatch):
+    monkeypatch.setenv("SEP_MAX_N", "1200")
+    assert count_facets(path_graph(1200)) == 2**1199
