@@ -1,7 +1,8 @@
 """Facet counting for the symmetric edge polytope of a connected graph.
 
-Three independent routes are implemented and cross-checked by the test
-harness:
+Three routes are implemented and cross-checked by the test harness. The
+second counts joins through the third, so the third is checked against the
+whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
 
 * enumerate_facets_oracle walks integer vertex labelings directly. A facet
   corresponds to a labeling f with f fixed to 0 at vertex 0, |f(i)-f(j)| <= 1
@@ -9,17 +10,28 @@ harness:
   forming a spanning connected subgraph. Differences are enumerated on a
   spanning tree (3^(n-1) candidates) instead of raw values.
 
-* count_facets sums multiplicities over facet subgraphs: the unordered
+* count_facets multiplies over biconnected blocks, since the count is
+  multiplicative under 1-sums. A block whose complement is disconnected is
+  a join G1 + G2 and is counted by the join identity (_count_join, which
+  derives it): with n_i vertices and c_i components in G_i and N^ the
+  domination count below,
+      N = (2^n1 - 2)(2^n2 - 2) - (2^c1 - 2)(2^c2 - 2) + N^(G1) + N^(G2) - 2.
+  Any other block is a cut scan: it sums multiplicities over the unordered
   bipartitions (V1, V2) whose crossing edges form a spanning connected
   subgraph. Each such cut contributes the facet count of the bipartite
-  quotient obtained by contracting all non-crossing edges. Cuts are scanned
-  per biconnected block and the block sums multiplied; each quotient is
-  counted on bitmasks without building a Graph. mu_of recomputes a cut's
-  multiplicity through contract_edges and count_bipartite_strict instead.
+  quotient obtained by contracting all non-crossing edges, counted on
+  bitmasks without building a Graph. The scan reads every neighbourhood of
+  a vertex set from two tables of 2^(n/2) entries (_union_tables). mu_of
+  recomputes a cut's multiplicity through contract_edges and
+  count_bipartite_strict instead, and the whole-graph sum over
+  enumerate_facet_subgraphs is the cut count with no join split.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph by scanning dominating sets S of the base: each contributes
-  2^(number of components induced on S).
+  2^(number of components induced on S). A base that is itself a join is
+  split first: N^(A + B) = 2 (2^a - 1)(2^b - 1) + N^(A) + N^(B).
+
+Scans over more than MAX_SCAN_VERTICES vertices are refused with GraphError.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .graphs import (
     bipartition,
     bit,
     blocks,
+    component_count,
     component_count_within,
     contract_edges,
     edges,
@@ -45,6 +58,7 @@ from .graphs import (
     iter_bits,
     reach,
 )
+from .limits import MAX_SCAN_VERTICES
 
 
 @dataclass(frozen=True)
@@ -183,6 +197,46 @@ def _strict_labelings(nbrs: list[Mask]) -> int:
     return extend(1)
 
 
+def _union_tables(adj: tuple[Mask, ...] | list[Mask]) -> tuple[list[Mask], list[Mask], int]:
+    """Neighbourhood-union tables (lo, hi, h) for the rows adj.
+
+    N(m), the union of the rows of the vertices in m, is
+    lo[m & (2^h - 1)] | hi[m >> h]: lo covers the low h = n // 2 vertices
+    and hi the rest, so 2^(n // 2) + 2^(n - n // 2) entries serve every
+    one of the 2^n sets. Scans over more than MAX_SCAN_VERTICES vertices
+    are refused here, before any table is built.
+    """
+    n = len(adj)
+    if n > MAX_SCAN_VERTICES:
+        raise GraphError(
+            f"a {n}-vertex block is too large to scan: 2^{n - 1} or more vertex "
+            f"sets (a scan takes at most {MAX_SCAN_VERTICES} vertices)")
+    h = n // 2
+    lo = [0]
+    for row in adj[:h]:
+        lo += [u | row for u in lo]
+    hi = [0]
+    for row in adj[h:]:
+        hi += [u | row for u in hi]
+    return lo, hi, h
+
+
+def _components(lo: list[Mask], hi: list[Mask], h: int, s: Mask) -> list[Mask]:
+    """Components of the subgraph induced on s, by flood on union tables."""
+    low = (1 << h) - 1
+    comps = []
+    while s:
+        comp = s & -s
+        while True:
+            grown = comp | (lo[comp & low] | hi[comp >> h]) & s
+            if grown == comp:
+                break
+            comp = grown
+        comps.append(comp)
+        s ^= comp
+    return comps
+
+
 def _cuts(g: Graph) -> Iterator[tuple[Mask, int]]:
     """Spanning connected cuts of g as (part2, mu), in ascending part2 order.
 
@@ -190,27 +244,39 @@ def _cuts(g: Graph) -> Iterator[tuple[Mask, int]]:
     the strict labeling count of the cut's bipartite quotient: its vertices
     are the components of the same-side edges and its edges come from the
     crossing ones. The quotient is kept as neighbour masks, not as a Graph.
+    Every step (the crossing-edge tests, the floods and the quotient rows)
+    takes neighbourhoods of vertex sets from _union_tables.
     """
     n = g.n
-    adj = g.adj
+    lo, hi, h = _union_tables(g.adj)
+    low = (1 << h) - 1
     full = full_mask(n)
     for half in range(1, 1 << (n - 1)):
         part2 = half << 1
         part1 = full ^ part2
-        cross = [adj[v] & (part1 if part2 >> v & 1 else part2) for v in range(n)]
-        if not all(cross) or reach(cross, 1, full) != full:
+        # Every vertex needs a crossing edge.
+        if part1 & ~(lo[part2 & low] | hi[part2 >> h]):
             continue
-        comps = []
-        for side in (part1, part2):
-            while side:
-                comp = reach(adj, side & -side, side)
-                comps.append(comp)
-                side ^= comp
+        if part2 & ~(lo[part1 & low] | hi[part1 >> h]):
+            continue
+        # The crossing edges connect everything: flood from vertex 0 across
+        # the cut and back. Each part1 vertex has a part2 neighbour, so the
+        # part1 set only grows, and the flood is whole when it fills part1.
+        seen = 1
+        while True:
+            across = (lo[seen & low] | hi[seen >> h]) & part2
+            grown = (lo[across & low] | hi[across >> h]) & part1
+            if grown == seen:
+                break
+            seen = grown
+        if seen != part1:
+            continue
+        comps = _components(lo, hi, h, part1) + _components(lo, hi, h, part2)
+        # N(comp) meets comp itself through its internal edges; a quotient
+        # row must not, or _strict_labelings would see a loop.
         nbrs = []
         for k, comp in enumerate(comps):
-            touched = 0
-            for v in iter_bits(comp):
-                touched |= adj[v]
+            touched = lo[comp & low] | hi[comp >> h]
             row = 0
             for j, other in enumerate(comps):
                 if touched & other and j != k:
@@ -273,15 +339,67 @@ def count_facets(g: Graph) -> int:
     """Facet count via the cut decomposition, multiplied over blocks.
 
     The facet count is multiplicative under 1-sums, so it is the product,
-    over the biconnected blocks, of each block's sum of cut multiplicities.
+    over the biconnected blocks, of each block's count. A block whose
+    complement is disconnected is a join G1 + G2 and is counted by
+    _count_join; any other block by the sum of its cut multiplicities.
     """
     _require_connected(g)
     full = full_mask(g.n)
     total = 1
     for vmask, _ in blocks(g):
         block = g if vmask == full else induced(g, vmask)
-        total *= sum(mu for _, mu in _cuts(block))
+        side = _co_component(block)
+        if side == full_mask(block.n):
+            total *= sum(mu for _, mu in _cuts(block))
+        else:
+            total *= _count_join(block, side)
     return total
+
+
+def _co_component(g: Graph) -> Mask:
+    """The component of vertex 0 in the complement of g."""
+    full = full_mask(g.n)
+    co = [full ^ row ^ (1 << v) for v, row in enumerate(g.adj)]
+    return reach(co, 1, full)
+
+
+def _count_join(g: Graph, side: Mask) -> int:
+    """Facet count of a connected join g = G1 + G2, with G1 = g[side].
+
+    With n_i vertices and c_i components in G_i, and N^(H) the count of
+    count_suspension_via_domination(H), the count is
+
+        (2^n1 - 2)(2^n2 - 2) - (2^c1 - 2)(2^c2 - 2) + N^(G1) + N^(G2) - 2.
+
+    Every G1 vertex is adjacent to every G2 vertex, so a facet labeling
+    shifted to minimum 0 takes at most three consecutive values. Let D_i be
+    the number of dominating sets of G_i.
+
+    * Two values: the labeling is an ordered bipartition (P0, P1) whose
+      crossing edges span and connect g. If all four pieces P_a meet V_i are
+      nonempty, the G1-G2 crossing edges form two disjoint complete
+      bipartite graphs covering every vertex, and the cut qualifies exactly
+      when some G1 or G2 edge crosses it: (2^n1 - 2)(2^n2 - 2) splits minus
+      the (2^c1 - 2)(2^c2 - 2) that cut no G1 and no G2 edge. Otherwise one
+      piece is empty; if, say, V2 lies in P0, then P1 lies in V1 and must
+      dominate G1. The four choices of the empty piece give D1, D1, D2, D2
+      and count the splits (V1, V2) and (V2, V1) twice: 2 D1 + 2 D2 - 2.
+    * Three values: a vertex at 0 and one at 2 are not adjacent, so they
+      lie on one side, and every vertex of the other side sits at 1. On the
+      first side, say V1, the vertices X not at 1 must dominate G1 (the
+      vertices at 1 have no other strict edge), and X splits into low and
+      high with no edge between them: 2^c(G1[X]) - 2 ways. Summed over X
+      that is N^(G1) - 2 D1; likewise N^(G2) - 2 D2 with V1 at 1.
+
+    The D_i cancel in the total.
+    """
+    full = full_mask(g.n)
+    g1, g2 = induced(g, side), induced(g, full ^ side)
+    n1, n2 = g1.n, g2.n
+    c1, c2 = component_count(g1), component_count(g2)
+    return (((1 << n1) - 2) * ((1 << n2) - 2) - ((1 << c1) - 2) * ((1 << c2) - 2)
+            + count_suspension_via_domination(g1)
+            + count_suspension_via_domination(g2) - 2)
 
 
 def count_bipartite_strict(b: Graph) -> int:
@@ -316,20 +434,30 @@ def count_bipartite_strict(b: Graph) -> int:
 
 
 def count_suspension_via_domination(g: Graph) -> int:
-    """Facet count of the suspension of g, summed over dominating sets of g."""
+    """Facet count of the suspension of g, summed over dominating sets of g.
+
+    Each dominating set S contributes 2^c(g[S]). When g is a join A + B
+    (its complement is disconnected), a set meeting both sides dominates
+    and induces a connected graph, and a set inside one side must dominate
+    that side, so N^(A + B) = 2 (2^a - 1)(2^b - 1) + N^(A) + N^(B). Other
+    graphs are scanned, with cover N(S) | S and components by flood on the
+    neighbourhood-union tables.
+    """
     n = g.n
     full = full_mask(n)
-    closed = [g.adj[v] | bit(v) for v in range(n)]
+    side = _co_component(g)
+    if side != full:
+        a = side.bit_count()
+        return (2 * ((1 << a) - 1) * ((1 << (n - a)) - 1)
+                + count_suspension_via_domination(induced(g, side))
+                + count_suspension_via_domination(induced(g, full ^ side)))
+    lo, hi, h = _union_tables(g.adj)
+    low = (1 << h) - 1
     total = 0
     for s in range(1, 1 << n):
-        cover = 0
-        m = s
-        while m:
-            low = m & -m
-            cover |= closed[low.bit_length() - 1]
-            m ^= low
-        if cover == full:
-            total += 1 << component_count_within(g, s)
+        if (lo[s & low] | hi[s >> h] | s) != full:
+            continue
+        total += 1 << len(_components(lo, hi, h, s))
     return total
 
 

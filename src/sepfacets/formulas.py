@@ -229,7 +229,12 @@ def is_balanced_complete_bipartite(g: Graph) -> bool:
 
 
 def is_one_sum_of_triangles(g: Graph) -> bool:
-    """Every block is a triangle (and there is at least one)."""
+    """Every block is a triangle (and there is at least one).
+
+    Such a graph has n odd and 3(n - 1)/2 edges, checked before blocks().
+    """
+    if g.n % 2 == 0 or 2 * edge_count(g) != 3 * (g.n - 1):
+        return False
     blks = blocks(g)
     if not blks or not is_connected(g):
         return False
@@ -237,7 +242,12 @@ def is_one_sum_of_triangles(g: Graph) -> bool:
 
 
 def is_k4_plus_triangles(g: Graph) -> bool:
-    """Exactly one K4 block, every other block a triangle."""
+    """Exactly one K4 block, every other block a triangle.
+
+    Such a graph has n even, n >= 4 and 3n/2 edges, checked before blocks().
+    """
+    if g.n % 2 or g.n < 4 or 2 * edge_count(g) != 3 * g.n:
+        return False
     if not is_connected(g):
         return False
     k4 = 0

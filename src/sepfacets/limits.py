@@ -5,7 +5,9 @@ the generator enumerates isomorphism classes exhaustively, and canonical
 forms are found by a branch-and-bound search over degree-sorted vertex
 orderings that skips swaps of twin vertices. Both grow exponentially with
 n (n = 8 takes a few seconds), so the caps keep those paths honest.
-SEP_MAX_N lifts them at your own risk (memory and time grow fast).
+SEP_MAX_N lifts them at your own risk (memory and time grow fast). The
+facet scans have a fixed cap, MAX_SCAN_VERTICES, that SEP_MAX_N does not
+change.
 """
 
 import os
@@ -13,6 +15,12 @@ import os
 DEFAULT_MAX_VERTICES = 64
 DEFAULT_GENERATOR_LIMIT = 7
 DEFAULT_CANONICAL_LIMIT = 10
+
+# Largest vertex count of one cut scan or dominating-set scan in facets.py.
+# A scan over n vertices visits 2^(n-1) cuts or 2^n sets, so a larger one
+# (2^32 sets or more) could not finish and is refused. Joins, trees and
+# 1-sums of small blocks are counted without a scan this large.
+MAX_SCAN_VERTICES = 32
 
 _ENV_VAR = "SEP_MAX_N"
 

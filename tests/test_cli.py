@@ -5,7 +5,7 @@ import pytest
 
 from sepfacets.cli import main
 from sepfacets.formats import emit_graph6, parse_graph6
-from sepfacets.formulas import BoundPair
+from sepfacets.formulas import BoundPair, n_complete_multipartite
 from sepfacets.graphs import complete_bipartite, complete_graph, path_graph
 
 EXAMPLE_SPEC = "5 7;0 1;1 2;2 3;3 4;4 0;1 3;2 4"
@@ -69,14 +69,25 @@ def _spec(n, edge_list):
     (41, [e for k in range(0, 40, 2) for e in ((k, k + 1), (k + 1, k + 2), (k, k + 2))],
      6 ** 20),
     (40, [(i, i + 1) for i in range(39)], 2 ** 39),
+    (40, [(i, j) for i in range(40) for j in range(i + 1, 40)], 2 ** 40 - 2),
+    (24, [(i, j) for i in range(24) for j in range(i + 1, 24) if i // 8 != j // 8],
+     n_complete_multipartite([8, 8, 8])),
 ])
 def test_count_multiplies_over_blocks(capsys, n, edge_list, expected):
-    # one scan of the whole graph would visit 2^(n-1) cuts; per block it is 1 or 3
+    # one scan of the whole graph would visit 2^(n-1) cuts; per block it is 1
+    # or 3, and the joins K40 and K_{8,8,8} split into sides scanned alone
     start = time.monotonic()
     code, out, _ = run(capsys, "count", "--edges", _spec(n, edge_list))
     elapsed = time.monotonic() - start
     assert code == 0 and out == f"{expected}\n"
     assert elapsed < 1.0
+
+
+def test_count_refuses_large_scan(capsys):
+    cycle = [(i, (i + 1) % 40) for i in range(40)]
+    code, out, err = run(capsys, "count", "--edges", _spec(40, cycle))
+    assert code == 1 and out == ""
+    assert "40-vertex block is too large to scan" in err
 
 
 def test_facets_output(capsys):

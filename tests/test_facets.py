@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from sepfacets.canon import generate_connected
+from sepfacets.canon import generate_all, generate_connected
 from sepfacets.facets import (
     FacetSubgraph,
     count_bipartite_strict,
@@ -18,6 +18,7 @@ from sepfacets.graphs import (
     Graph,
     GraphError,
     bipartition,
+    complement,
     complete_bipartite,
     complete_graph,
     contract_edges,
@@ -26,13 +27,14 @@ from sepfacets.graphs import (
     empty_graph,
     from_edges,
     is_connected,
+    join,
     mask_of,
     path_graph,
     star_graph,
     suspension,
 )
 
-from conftest import graph_strategy, ref_facet_count, ref_facet_vectors
+from conftest import graph_strategy, ref_components, ref_facet_count, ref_facet_vectors
 
 EXAMPLE = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)])
 
@@ -152,7 +154,7 @@ def test_suspension_domination_three_component_cut():
     cut = [h for h in subs if h.part2 == bottom]
     assert len(cut) == 1
     assert cut[0].mu == 2 ** 3
-    assert count_suspension_via_domination(base) == count_facets(hat)
+    assert count_suspension_via_domination(base) == sum(h.mu for h in subs)
 
 
 def test_subgraph_component_value_examples():
@@ -212,7 +214,28 @@ def test_normalized_labelings_define_distinct_hyperplanes(g):
 @settings(max_examples=40, deadline=None)
 @given(graph_strategy(min_n=1, max_n=5))
 def test_domination_route_matches_decomposition(g):
-    assert count_suspension_via_domination(g) == count_facets(suspension(g))
+    # count_facets(suspension(g)) runs through the domination route itself
+    cuts = enumerate_facet_subgraphs(suspension(g))
+    assert count_suspension_via_domination(g) == sum(h.mu for h in cuts)
+
+
+def test_domination_route_matches_brute_sum():
+    # every graph up to 6 vertices, joins included, so the join recursion of
+    # count_suspension_via_domination is covered
+    for n in range(1, 7):
+        for g in generate_all(n):
+            es = edges(g)
+            total = 0
+            for s in range(1, 1 << n):
+                inside = {v for v in range(n) if s >> v & 1}
+                covered = inside | {j for i, j in es if i in inside}
+                covered |= {i for i, j in es if j in inside}
+                if len(covered) < n:
+                    continue
+                kept = [(i, j) for i, j in es if i in inside and j in inside]
+                comps = [c for c in ref_components(n, kept) if c[0] in inside]
+                total += 2 ** len(comps)
+            assert count_suspension_via_domination(g) == total
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,6 +258,39 @@ def test_quotients_are_connected_bipartite():
                 assert bipartition(quotient) is not None
                 assert h.mu == count_bipartite_strict(quotient)
             assert count_facets(g) == sum(h.mu for h in subs)
+
+
+def test_join_identity_on_connected_classes():
+    # classes whose complement is disconnected are counted by the join
+    # identity; the whole-graph sum over cuts never splits them
+    joins = 0
+    for n in range(2, 8):
+        for g in generate_connected(n):
+            if is_connected(complement(g)):
+                continue
+            joins += 1
+            assert count_facets(g) == sum(h.mu for h in enumerate_facet_subgraphs(g))
+    assert joins > 0
+
+
+def test_join_identity_on_joins_of_all_graphs():
+    pools = {k: list(generate_all(k)) for k in range(1, 7)}
+    for n1 in pools:
+        for n2 in pools:
+            if n1 + n2 > 7:
+                continue
+            for g1 in pools[n1]:
+                for g2 in pools[n2]:
+                    g = join(g1, g2)
+                    cuts = enumerate_facet_subgraphs(g)
+                    assert count_facets(g) == sum(h.mu for h in cuts)
+
+
+def test_scan_refuses_large_blocks():
+    with pytest.raises(GraphError, match="40-vertex block"):
+        count_facets(cycle_graph(40))
+    with pytest.raises(GraphError, match="33-vertex block"):
+        count_suspension_via_domination(cycle_graph(33))
 
 
 def test_count_long_path_beyond_recursion_limit(monkeypatch):
