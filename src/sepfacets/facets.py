@@ -49,7 +49,6 @@ from .graphs import (
     bit,
     blocks,
     component_count,
-    component_count_within,
     contract_edges,
     edges,
     full_mask,
@@ -107,6 +106,25 @@ def _bfs_tree(g: Graph) -> list[Edge]:
     return tree
 
 
+def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int]) -> Iterator[list[int]]:
+    """Labelings with value 0 at vertex 0, one per choice of a step from
+    steps on each spanning-tree edge, kept when every non-tree edge joins
+    labels whose distance is in gaps. The yielded list is reused.
+    """
+    tree = _bfs_tree(g)
+    tree_set = {(min(e), max(e)) for e in tree}
+    rest = [e for e in edges(g) if e not in tree_set]
+    values = [0] * g.n
+    for diffs in product(steps, repeat=g.n - 1):
+        for (p, c), d in zip(tree, diffs):
+            values[c] = values[p] + d
+        for i, j in rest:
+            if abs(values[i] - values[j]) not in gaps:
+                break
+        else:
+            yield values
+
+
 def enumerate_facets_oracle(g: Graph) -> list[FacetFunction]:
     """All facet-defining labelings, sorted by value vector.
 
@@ -117,24 +135,11 @@ def enumerate_facets_oracle(g: Graph) -> list[FacetFunction]:
     """
     _require_connected(g)
     n = g.n
-    tree = _bfs_tree(g)
-    tree_set = {(min(e), max(e)) for e in tree}
-    rest = [e for e in edges(g) if e not in tree_set]
     all_edges = edges(g)
     full = full_mask(n)
 
     found = set()
-    values = [0] * n
-    for diffs in product((-1, 0, 1), repeat=n - 1):
-        for (p, c), d in zip(tree, diffs):
-            values[c] = values[p] + d
-        ok = True
-        for i, j in rest:
-            if abs(values[i] - values[j]) > 1:
-                ok = False
-                break
-        if not ok:
-            continue
+    for values in _tree_labelings(g, (-1, 0, 1), {0, 1}):
         rows = [0] * n
         for i, j in all_edges:
             if values[i] != values[j]:
@@ -413,24 +418,7 @@ def count_bipartite_strict(b: Graph) -> int:
         raise GraphError("strict counting requires a connected graph on >= 2 vertices")
     if bipartition(b) is None:
         raise GraphError("strict counting requires a bipartite graph")
-    n = b.n
-    tree = _bfs_tree(b)
-    tree_set = {(min(e), max(e)) for e in tree}
-    rest = [e for e in edges(b) if e not in tree_set]
-
-    count = 0
-    values = [0] * n
-    for signs in product((-1, 1), repeat=n - 1):
-        for (p, c), d in zip(tree, signs):
-            values[c] = values[p] + d
-        ok = True
-        for i, j in rest:
-            if abs(values[i] - values[j]) != 1:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(1 for _ in _tree_labelings(b, (-1, 1), {1}))
 
 
 def count_suspension_via_domination(g: Graph) -> int:
@@ -451,14 +439,7 @@ def count_suspension_via_domination(g: Graph) -> int:
         return (2 * ((1 << a) - 1) * ((1 << (n - a)) - 1)
                 + count_suspension_via_domination(induced(g, side))
                 + count_suspension_via_domination(induced(g, full ^ side)))
-    lo, hi, h = _union_tables(g.adj)
-    low = (1 << h) - 1
-    total = 0
-    for s in range(1, 1 << n):
-        if (lo[s & low] | hi[s >> h] | s) != full:
-            continue
-        total += 1 << len(_components(lo, hi, h, s))
-    return total
+    return _component_power_sum(g, full)
 
 
 def subgraph_component_value(g: Graph) -> int:
@@ -467,7 +448,20 @@ def subgraph_component_value(g: Graph) -> int:
     The empty subset contributes 1. This upper-bounds the facet count of
     the suspension of g, since dominating sets are a subfamily.
     """
+    return _component_power_sum(g, 0)
+
+
+def _component_power_sum(g: Graph, cover: Mask) -> int:
+    """Sum of 2^c(g[S]) over the vertex sets S with cover inside N(S) | S.
+
+    Covers and components come from the neighbourhood-union tables, so a
+    graph on more than MAX_SCAN_VERTICES vertices is refused.
+    """
+    lo, hi, h = _union_tables(g.adj)
+    low = (1 << h) - 1
     total = 0
     for s in range(1 << g.n):
-        total += 1 << component_count_within(g, s)
+        if cover & ~(lo[s & low] | hi[s >> h] | s):
+            continue
+        total += 1 << len(_components(lo, hi, h, s))
     return total

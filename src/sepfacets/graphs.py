@@ -138,18 +138,6 @@ def component_count(g: Graph) -> int:
     return len(components(g))
 
 
-def component_count_within(g: Graph, mask: Mask) -> int:
-    """Number of connected components of the induced subgraph on mask (0 for empty)."""
-    count = 0
-    remaining = mask
-    while remaining:
-        seed = remaining & -remaining
-        comp = reach(g.adj, seed, remaining)
-        count += 1
-        remaining &= ~comp
-    return count
-
-
 def is_connected(g: Graph) -> bool:
     return reach(g.adj, 1, full_mask(g.n)) == full_mask(g.n)
 

@@ -4,8 +4,11 @@ The conjecture sweep checks every connected isomorphism class on n vertices
 against the conjectured facet-count bracket and records bound violations and
 equality hits. The identity sweep replays the structural identities (route
 equivalence, suspension formulas, closed forms, 1-sum products, join and
-bipartite bounds) over the same families. Violations are data, not crashes:
-both sweeps return reports and leave judgment to the caller.
+bipartite bounds) from IDENTITY_SUITES, a table of family x property rows: a
+family generates the cases up to n_max vertices, a property yields what each
+case breaks, and one runner counts the checks and names the violations.
+Violations are data, not crashes: both sweeps return reports and leave
+judgment to the caller.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from multiprocessing import Pool
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import formulas
 from .canon import generate_all, generate_connected
@@ -179,257 +182,265 @@ def verify_conjecture(
 
 # --- identity suites ------------------------------------------------------
 #
-# Each suite returns (number of checks performed, violations). The graph6
-# field of a violation names the offending graph, or "a|b" for pair checks.
+# Each suite is a row of IDENTITY_SUITES: a family of cases and the property
+# every case must have. Families are written once below and shared between
+# rows; calling a suite with n_max runs it and returns (checks, violations).
 
 
-def _pair_tag(a: Graph, b: Graph) -> str:
-    return f"{emit_graph6(a)}|{emit_graph6(b)}"
+@dataclass(frozen=True)
+class IdentitySuite:
+    """One identity suite, callable as check_<name>(n_max).
+
+    cases(n_max) yields case tuples whose first item names the case in a
+    violation: a graph by its graph6 string, a pair of graphs as "a|b".
+    failures(*case) yields one (bound, value) for each way the case fails.
+    """
+
+    name: str
+    cases: Callable[[int], Iterable[tuple]]
+    failures: Callable[..., Iterable[tuple[str, int]]]
+
+    @property
+    def __name__(self) -> str:
+        return f"check_{self.name}"
+
+    def __call__(self, n_max: int) -> tuple[int, list[Violation]]:
+        checked = 0
+        bad = []
+        for case in self.cases(n_max):
+            checked += 1
+            for bound, value in self.failures(*case):
+                named = case[0]
+                tag = (emit_graph6(named) if isinstance(named, Graph)
+                       else "|".join(emit_graph6(g) for g in named))
+                bad.append(Violation(tag, bound, value))
+        return checked, bad
 
 
-def check_route_equivalence(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
+# Families of cases.
+
+
+def _connected(n_max: int) -> Iterator[tuple]:
+    """Connected classes on 2..n_max vertices."""
     for n in range(2, n_max + 1):
         for g in generate_connected(n):
-            checked += 1
-            oracle = len(enumerate_facets_oracle(g))
-            decomposed = count_facets(g)
-            if oracle != decomposed:
-                bad.append(Violation(emit_graph6(g), "route_equivalence", decomposed))
-    return checked, bad
+            yield (g,)
 
 
-def check_suspension_domination(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    for k in range(1, n_max):
+def _bases(first: int, last: int) -> Iterator[tuple]:
+    """All graph classes on first..last vertices."""
+    for k in range(first, last + 1):
         for base in generate_all(k):
-            checked += 1
-            via_domination = count_suspension_via_domination(base)
-            # count_facets(suspension(base)) is itself the domination route,
-            # so compare with the cut scan of the whole suspension.
-            direct = sum(h.mu for h in enumerate_facet_subgraphs(suspension(base)))
-            if via_domination != direct:
-                bad.append(Violation(emit_graph6(base), "suspension_domination",
-                                     via_domination))
-    return checked, bad
+            yield (base,)
 
 
-def check_q_bound(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    for k in range(1, n_max):
-        for base in generate_all(k):
-            checked += 1
-            count = cached_count_facets(suspension(base))
-            if count > subgraph_component_value(base):
-                bad.append(Violation(emit_graph6(base), "q_bound", count))
-    return checked, bad
+def _bipartite(n_max: int) -> Iterator[tuple]:
+    """Connected bipartite classes on 2..n_max vertices."""
+    return (case for case in _connected(n_max) if bipartition(case[0]) is not None)
 
 
-def check_bipartite_monotonicity(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    for n in range(2, n_max + 1):
-        for g in generate_connected(n):
-            if bipartition(g) is None:
-                continue
-            base_count = cached_count_facets(g)
-            for e in edges(g):
-                smaller = delete_edge(g, *e)
-                if not is_connected(smaller):
-                    continue
-                checked += 1
-                if base_count > cached_count_facets(smaller):
-                    bad.append(Violation(emit_graph6(g), "bipartite_monotonicity",
-                                         base_count))
-    return checked, bad
+def _edge_deletions(n_max: int) -> Iterator[tuple]:
+    """(g, g - e) for each edge e of a connected bipartite class g whose
+    deletion leaves the graph connected."""
+    for (g,) in _bipartite(n_max):
+        for e in edges(g):
+            smaller = delete_edge(g, *e)
+            if is_connected(smaller):
+                yield g, smaller
 
 
-def check_bipartite_minimum(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    for n in range(2, n_max + 1):
-        floor = formulas.bipartite_minimum(n)
-        for g in generate_connected(n):
-            if bipartition(g) is None:
-                continue
-            checked += 1
-            count = cached_count_facets(g)
-            if count < floor:
-                bad.append(Violation(emit_graph6(g), "bipartite_minimum", count))
-            if (count == floor) != is_balanced_complete_bipartite(g):
-                bad.append(Violation(emit_graph6(g), "bipartite_minimum_equality",
-                                     count))
-    return checked, bad
+def _ordered_pairs(generate: Callable[[int], Iterable[Graph]], sizes: range,
+                   keep: Callable[[int, int], bool]) -> Iterator[tuple[Graph, Graph]]:
+    """Ordered pairs (g1, g2) of classes from generate on n1 and n2 vertices
+    in sizes, for the sizes with keep(n1, n2)."""
+    pools = {k: list(generate(k)) for k in sizes}
+    for n1 in pools:
+        for n2 in pools:
+            if keep(n1, n2):
+                for g1 in pools[n1]:
+                    for g2 in pools[n2]:
+                        yield g1, g2
 
 
-def check_decomposition_sanity(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    for n in range(2, n_max + 1):
-        for g in generate_connected(n):
-            checked += 1
-            for h in enumerate_facet_subgraphs(g):
-                if h.mu < 2 or h.mu % 2 != 0 or mu_of(g, h) != h.mu:
-                    bad.append(Violation(emit_graph6(g), "mu_sanity", h.mu))
-                    break
-    return checked, bad
+def _gluings(n_max: int) -> Iterator[tuple]:
+    """((g1, g2), v1, v2) for connected g1, g2 with n1 <= n2 whose 1-sum has
+    at most n_max vertices, over every pair of glued vertices."""
+    pairs = _ordered_pairs(generate_connected, range(2, n_max),
+                           lambda n1, n2: n1 + n2 - 1 <= n_max and n1 <= n2)
+    for g1, g2 in pairs:
+        for v1 in range(g1.n):
+            for v2 in range(g2.n):
+                yield (g1, g2), v1, v2
 
 
-def check_multipartite_formulas(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
+def _joined_pairs(n_max: int) -> Iterator[tuple]:
+    """((g1, g2),) for graph classes whose join has at most n_max vertices."""
+    pairs = _ordered_pairs(generate_all, range(1, n_max),
+                           lambda n1, n2: n1 + n2 <= n_max)
+    return ((pair,) for pair in pairs)
+
+
+def _multipartite(n_max: int) -> Iterator[tuple]:
+    """(K_{l,m}, (l, m)) with l <= m and l + m <= n_max + 1, then the complete
+    multipartite graphs with at least three parts on at most n_max vertices."""
     for total in range(2, n_max + 2):
         for l in range(1, total // 2 + 1):
-            m = total - l
-            checked += 1
-            g = complete_bipartite(l, m)
-            if cached_count_facets(g) != n_complete_bipartite(l, m):
-                bad.append(Violation(emit_graph6(g), "complete_bipartite_formula",
-                                     cached_count_facets(g)))
+            yield complete_bipartite(l, total - l), (l, total - l)
     for total in range(3, n_max + 1):
-        for parts in _partitions(total):
-            if len(parts) < 3:
-                continue
-            checked += 1
-            g = complete_multipartite(list(parts))
-            if cached_count_facets(g) != n_complete_multipartite(list(parts)):
-                bad.append(Violation(emit_graph6(g), "complete_multipartite_formula",
-                                     cached_count_facets(g)))
-    return checked, bad
+        for parts in _partitions(total, total):
+            if len(parts) >= 3:
+                yield complete_multipartite(list(parts)), parts
 
 
-def _partitions(total: int) -> Iterable[tuple[int, ...]]:
-    def rec(remaining: int, biggest: int) -> Iterable[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
+def _partitions(remaining: int, biggest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of remaining into parts of at most biggest, each listed
+    largest part first, in descending order."""
+    if remaining == 0:
+        yield ()
+        return
+    for head in range(min(remaining, biggest), 0, -1):
+        for tail in _partitions(remaining - head, head):
+            yield (head,) + tail
+
+
+def _base_vertices(n_max: int) -> Iterator[tuple]:
+    """(base, v) for every vertex v of a graph class on 2..min(6, n_max - 1)
+    vertices."""
+    for (base,) in _bases(2, min(6, n_max - 1)):
+        for v in range(base.n):
+            yield base, v
+
+
+# Properties.
+
+
+def _route_equivalence(g: Graph) -> Iterator[tuple[str, int]]:
+    oracle = len(enumerate_facets_oracle(g))
+    decomposed = count_facets(g)
+    if oracle != decomposed:
+        yield "route_equivalence", decomposed
+
+
+def _suspension_domination(base: Graph) -> Iterator[tuple[str, int]]:
+    via_domination = count_suspension_via_domination(base)
+    # count_facets(suspension(base)) is itself the domination route, so
+    # compare with the cut scan of the whole suspension.
+    if via_domination != sum(h.mu for h in enumerate_facet_subgraphs(suspension(base))):
+        yield "suspension_domination", via_domination
+
+
+def _q_bound(base: Graph) -> Iterator[tuple[str, int]]:
+    count = cached_count_facets(suspension(base))
+    if count > subgraph_component_value(base):
+        yield "q_bound", count
+
+
+def _bipartite_monotonicity(g: Graph, smaller: Graph) -> Iterator[tuple[str, int]]:
+    count = cached_count_facets(g)
+    if count > cached_count_facets(smaller):
+        yield "bipartite_monotonicity", count
+
+
+def _bipartite_minimum(g: Graph) -> Iterator[tuple[str, int]]:
+    floor = formulas.bipartite_minimum(g.n)
+    count = cached_count_facets(g)
+    if count < floor:
+        yield "bipartite_minimum", count
+    if (count == floor) != is_balanced_complete_bipartite(g):
+        yield "bipartite_minimum_equality", count
+
+
+def _decomposition_sanity(g: Graph) -> Iterator[tuple[str, int]]:
+    for h in enumerate_facet_subgraphs(g):
+        if h.mu < 2 or h.mu % 2 != 0 or mu_of(g, h) != h.mu:
+            yield "mu_sanity", h.mu
             return
-        for head in range(min(remaining, biggest), 0, -1):
-            for tail in rec(remaining - head, head):
-                yield (head,) + tail
-
-    yield from rec(total, total)
 
 
-def check_one_sum_products(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    pools = {k: list(generate_connected(k)) for k in range(2, n_max)}
-    for n1 in pools:
-        for n2 in pools:
-            if n1 + n2 - 1 > n_max or n1 > n2:
-                continue
-            for g1 in pools[n1]:
-                for g2 in pools[n2]:
-                    expected = cached_count_facets(g1) * cached_count_facets(g2)
-                    for v1 in range(n1):
-                        for v2 in range(n2):
-                            checked += 1
-                            glued = one_sum(g1, v1, g2, v2)
-                            if cached_count_facets(glued) != expected:
-                                bad.append(Violation(_pair_tag(g1, g2),
-                                                     "one_sum_product",
-                                                     cached_count_facets(glued)))
-    return checked, bad
+def _multipartite_formula(g: Graph, parts: tuple[int, ...]) -> Iterator[tuple[str, int]]:
+    count = cached_count_facets(g)
+    if len(parts) == 2:
+        if count != n_complete_bipartite(*parts):
+            yield "complete_bipartite_formula", count
+    elif count != n_complete_multipartite(list(parts)):
+        yield "complete_multipartite_formula", count
 
 
-def check_suspension_bounds(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    for k in range(1, min(6, n_max - 1) + 1):
-        for base in generate_all(k):
-            checked += 1
-            n = k + 1
-            hat = suspension(base)
-            count = cached_count_facets(hat)
-            g6 = emit_graph6(base)
-            if count < 2 ** (n - 1):
-                bad.append(Violation(g6, "suspension_lower", count))
-            if (count == 2 ** (n - 1)) != is_star(hat):
-                bad.append(Violation(g6, "suspension_lower_equality", count))
-            if n >= 3:
-                upper = conjecture_bounds(n).upper
-                if count > upper:
-                    bad.append(Violation(g6, "suspension_upper", count))
-                at_max = is_one_sum_of_triangles(hat) if n % 2 else is_k4_plus_triangles(hat)
-                if (count == upper) != at_max:
-                    bad.append(Violation(g6, "suspension_upper_equality", count))
-    return checked, bad
+def _one_sum_product(pair: tuple[Graph, Graph], v1: int, v2: int) -> Iterator[tuple[str, int]]:
+    g1, g2 = pair
+    count = cached_count_facets(one_sum(g1, v1, g2, v2))
+    if count != cached_count_facets(g1) * cached_count_facets(g2):
+        yield "one_sum_product", count
 
 
-def check_join_bounds(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    pools = {k: list(generate_all(k)) for k in range(1, n_max)}
-    for n1 in pools:
-        for n2 in pools:
-            if n1 + n2 > n_max:
-                continue
-            for g1 in pools[n1]:
-                for g2 in pools[n2]:
-                    checked += 1
-                    joined = join(g1, g2)
-                    count = cached_count_facets(joined)
-                    cap = join_upper_bound(
-                        cached_count_facets(suspension(g1)),
-                        cached_count_facets(suspension(g2)),
-                        n1, n2, component_count(g1), component_count(g2))
-                    if count > cap:
-                        bad.append(Violation(_pair_tag(g1, g2), "join_upper_bound",
-                                             count))
-                    n = n1 + n2
-                    if n >= 3:
-                        bounds = conjecture_bounds(n)
-                        if not bounds.lower <= count <= bounds.upper:
-                            bad.append(Violation(_pair_tag(g1, g2),
-                                                 "join_conjecture_bound", count))
-    return checked, bad
+def _suspension_bounds(base: Graph) -> Iterator[tuple[str, int]]:
+    n = base.n + 1
+    hat = suspension(base)
+    count = cached_count_facets(hat)
+    if count < 2 ** (n - 1):
+        yield "suspension_lower", count
+    if (count == 2 ** (n - 1)) != is_star(hat):
+        yield "suspension_lower_equality", count
+    if n >= 3:
+        upper = conjecture_bounds(n).upper
+        if count > upper:
+            yield "suspension_upper", count
+        at_max = is_one_sum_of_triangles(hat) if n % 2 else is_k4_plus_triangles(hat)
+        if (count == upper) != at_max:
+            yield "suspension_upper_equality", count
 
 
-def check_suspension_recursion(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    for k in range(2, min(6, n_max - 1) + 1):
-        for base in generate_all(k):
-            for v in range(k):
-                checked += 1
-                result = suspension_recursion_check(base, v, cached_count_facets)
-                covers = closed_neighborhood(base, v) == full_mask(k)
-                if not result.passed or result.equality_branch != covers:
-                    bad.append(Violation(emit_graph6(base), "suspension_recursion",
-                                         result.total))
-    return checked, bad
+def _join_bounds(pair: tuple[Graph, Graph]) -> Iterator[tuple[str, int]]:
+    g1, g2 = pair
+    count = cached_count_facets(join(g1, g2))
+    cap = join_upper_bound(
+        cached_count_facets(suspension(g1)), cached_count_facets(suspension(g2)),
+        g1.n, g2.n, component_count(g1), component_count(g2))
+    if count > cap:
+        yield "join_upper_bound", count
+    n = g1.n + g2.n
+    if n >= 3:
+        bounds = conjecture_bounds(n)
+        if not bounds.lower <= count <= bounds.upper:
+            yield "join_conjecture_bound", count
 
 
-def check_double_suspension(n_max: int) -> tuple[int, list[Violation]]:
-    checked = 0
-    bad = []
-    for k in range(2, min(5, n_max - 2) + 1):
-        for base in generate_all(k):
-            checked += 1
-            result = double_suspension_check(base, cached_count_facets)
-            if not result.passed:
-                bad.append(Violation(emit_graph6(base), "double_suspension",
-                                     result.twice))
-    return checked, bad
+def _suspension_recursion(base: Graph, v: int) -> Iterator[tuple[str, int]]:
+    result = suspension_recursion_check(base, v, cached_count_facets)
+    covers = closed_neighborhood(base, v) == full_mask(base.n)
+    if not result.passed or result.equality_branch != covers:
+        yield "suspension_recursion", result.total
+
+
+def _double_suspension(base: Graph) -> Iterator[tuple[str, int]]:
+    result = double_suspension_check(base, cached_count_facets)
+    if not result.passed:
+        yield "double_suspension", result.twice
 
 
 IDENTITY_SUITES = (
-    check_route_equivalence,
-    check_suspension_domination,
-    check_q_bound,
-    check_bipartite_monotonicity,
-    check_bipartite_minimum,
-    check_decomposition_sanity,
-    check_multipartite_formulas,
-    check_one_sum_products,
-    check_suspension_bounds,
-    check_join_bounds,
-    check_suspension_recursion,
-    check_double_suspension,
+    IdentitySuite("route_equivalence", _connected, _route_equivalence),
+    IdentitySuite("suspension_domination", lambda n_max: _bases(1, n_max - 1),
+                  _suspension_domination),
+    IdentitySuite("q_bound", lambda n_max: _bases(1, n_max - 1), _q_bound),
+    IdentitySuite("bipartite_monotonicity", _edge_deletions, _bipartite_monotonicity),
+    IdentitySuite("bipartite_minimum", _bipartite, _bipartite_minimum),
+    IdentitySuite("decomposition_sanity", _connected, _decomposition_sanity),
+    IdentitySuite("multipartite_formulas", _multipartite, _multipartite_formula),
+    IdentitySuite("one_sum_products", _gluings, _one_sum_product),
+    IdentitySuite("suspension_bounds", lambda n_max: _bases(1, min(6, n_max - 1)),
+                  _suspension_bounds),
+    IdentitySuite("join_bounds", _joined_pairs, _join_bounds),
+    IdentitySuite("suspension_recursion", _base_vertices, _suspension_recursion),
+    IdentitySuite("double_suspension", lambda n_max: _bases(2, min(5, n_max - 2)),
+                  _double_suspension),
 )
+
+# Each suite under its own name, for callers that run one suite.
+(check_route_equivalence, check_suspension_domination, check_q_bound,
+ check_bipartite_monotonicity, check_bipartite_minimum, check_decomposition_sanity,
+ check_multipartite_formulas, check_one_sum_products, check_suspension_bounds,
+ check_join_bounds, check_suspension_recursion, check_double_suspension) = IDENTITY_SUITES
 
 
 def verify_identities(n_max: int) -> VerificationReport:

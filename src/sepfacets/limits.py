@@ -16,7 +16,8 @@ DEFAULT_MAX_VERTICES = 64
 DEFAULT_GENERATOR_LIMIT = 7
 DEFAULT_CANONICAL_LIMIT = 10
 
-# Largest vertex count of one cut scan or dominating-set scan in facets.py.
+# Largest vertex count of one cut scan or vertex-subset scan (dominating sets,
+# subgraph_component_value) in facets.py.
 # A scan over n vertices visits 2^(n-1) cuts or 2^n sets, so a larger one
 # (2^32 sets or more) could not finish and is refused. Joins, trees and
 # 1-sums of small blocks are counted without a scan this large.

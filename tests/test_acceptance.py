@@ -19,14 +19,11 @@ from sepfacets.formulas import (
     conjecture_bounds,
     is_k4_plus_triangles,
     is_one_sum_of_triangles,
-    n_complete_bipartite,
-    n_complete_multipartite,
 )
 from sepfacets.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
-    complete_multipartite,
     edge_count,
     from_edges,
     is_connected,
@@ -34,11 +31,11 @@ from sepfacets.graphs import (
     star_graph,
 )
 from sepfacets.harness import (
-    _partitions,
     check_bipartite_minimum,
     check_bipartite_monotonicity,
     check_double_suspension,
     check_join_bounds,
+    check_multipartite_formulas,
     check_suspension_domination,
     check_suspension_recursion,
     sweep_conjecture,
@@ -74,22 +71,10 @@ def test_criterion_1_example_graph():
 
 def test_criterion_2_closed_forms():
     start = time.monotonic()
-    failures = []
-    checked = 0
-    for total in range(2, 9):
-        for l in range(1, total // 2 + 1):
-            m = total - l
-            checked += 1
-            if count_facets(complete_bipartite(l, m)) != n_complete_bipartite(l, m):
-                failures.append(f"K_{{{l},{m}}}")
-    for total in range(3, 8):
-        for parts in _partitions(total):
-            if len(parts) < 3:
-                continue
-            checked += 1
-            g = complete_multipartite(list(parts))
-            if count_facets(g) != n_complete_multipartite(list(parts)):
-                failures.append(f"parts {parts}")
+    checked, bad = check_multipartite_formulas(7)
+    failures = [f"{v.graph6} ({v.bound}={v.value})" for v in bad]
+    if checked != 41:  # K_{l,m} with l + m <= 8, multipartite with >= 3 parts up to 7
+        failures.append(f"coverage {checked}")
     elapsed = time.monotonic() - start
     if elapsed >= 30.0:
         failures.append(f"took {elapsed:.1f}s, budget 30s")

@@ -221,21 +221,23 @@ def test_domination_route_matches_decomposition(g):
 
 def test_domination_route_matches_brute_sum():
     # every graph up to 6 vertices, joins included, so the join recursion of
-    # count_suspension_via_domination is covered
+    # count_suspension_via_domination is covered; subgraph_component_value
+    # runs the same subset scan without the cover requirement
     for n in range(1, 7):
         for g in generate_all(n):
             es = edges(g)
-            total = 0
-            for s in range(1, 1 << n):
+            dominating = every = 0
+            for s in range(1 << n):
                 inside = {v for v in range(n) if s >> v & 1}
-                covered = inside | {j for i, j in es if i in inside}
-                covered |= {i for i, j in es if j in inside}
-                if len(covered) < n:
-                    continue
                 kept = [(i, j) for i, j in es if i in inside and j in inside]
                 comps = [c for c in ref_components(n, kept) if c[0] in inside]
-                total += 2 ** len(comps)
-            assert count_suspension_via_domination(g) == total
+                every += 2 ** len(comps)
+                covered = inside | {j for i, j in es if i in inside}
+                covered |= {i for i, j in es if j in inside}
+                if len(covered) == n:
+                    dominating += 2 ** len(comps)
+            assert count_suspension_via_domination(g) == dominating
+            assert subgraph_component_value(g) == every
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,6 +293,8 @@ def test_scan_refuses_large_blocks():
         count_facets(cycle_graph(40))
     with pytest.raises(GraphError, match="33-vertex block"):
         count_suspension_via_domination(cycle_graph(33))
+    with pytest.raises(GraphError, match="33-vertex block"):
+        subgraph_component_value(cycle_graph(33))
 
 
 def test_count_long_path_beyond_recursion_limit(monkeypatch):

@@ -1,6 +1,9 @@
+import hashlib
 import json
+from collections import Counter
 
 from sepfacets.canon import canonical_form, generate_connected
+from sepfacets.cli import main
 from sepfacets.facets import count_facets
 from sepfacets.formats import emit_graph6, parse_graph6
 from sepfacets.graphs import (
@@ -10,6 +13,7 @@ from sepfacets.graphs import (
     path_graph,
 )
 from sepfacets.harness import (
+    IDENTITY_SUITES,
     report_to_dict,
     report_to_json,
     sweep_conjecture,
@@ -180,3 +184,62 @@ def test_suspension_bounds_bases_up_to_six():
 
     checked, bad = check_suspension_bounds(7)
     assert checked == 208 and not bad
+
+
+# (suite, checks at n_max = 4, checks at n_max = 6): the counts the benchmark
+# pins in perfbench/reference.json, in the order verify_identities runs them.
+SUITE_CHECKS = [
+    ("route_equivalence", 9, 142),
+    ("suspension_domination", 7, 52),
+    ("q_bound", 7, 52),
+    ("bipartite_monotonicity", 4, 80),
+    ("bipartite_minimum", 5, 27),
+    ("decomposition_sanity", 9, 142),
+    ("multipartite_formulas", 9, 26),
+    ("one_sum_products", 16, 454),
+    ("suspension_bounds", 7, 52),
+    ("join_bounds", 17, 183),
+    ("suspension_recursion", 16, 230),
+    ("double_suspension", 2, 17),
+]
+
+# verify_identities(4) with every cached count raised by 2, recorded before
+# the suites became rows of one table: 60 violations over 10 bounds, and the
+# sha256 of their "graph6 bound value" lines joined by newlines.
+PERTURBED_BOUNDS = {
+    "q_bound": 3,
+    "bipartite_minimum_equality": 3,
+    "complete_bipartite_formula": 6,
+    "complete_multipartite_formula": 3,
+    "one_sum_product": 16,
+    "suspension_lower_equality": 3,
+    "suspension_upper_equality": 5,
+    "suspension_upper": 2,
+    "join_conjecture_bound": 5,
+    "suspension_recursion": 14,
+}
+PERTURBED_DIGEST = "b08a6e9657f92a95dfc464f6a8b3f93fc346bf40cb736ead42d141507a64e979"
+
+
+def test_identity_suite_check_counts():
+    assert [s.__name__ for s in IDENTITY_SUITES] == [
+        f"check_{name}" for name, _, _ in SUITE_CHECKS]
+    for suite, (_, at4, at6) in zip(IDENTITY_SUITES, SUITE_CHECKS):
+        assert suite(4) == (at4, [])
+        assert suite(6) == (at6, [])
+    assert sum(at6 for _, _, at6 in SUITE_CHECKS) == 1457
+
+
+def test_identities_report_every_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr("sepfacets.harness.cached_count_facets",
+                        lambda g: count_facets(g) + 2)
+    report = verify_identities(4)
+    lines = [f"{v.graph6} {v.bound} {v.value}" for v in report.violations]
+    assert report.graphs_checked == 108 and len(lines) == 60
+    assert Counter(v.bound for v in report.violations) == PERTURBED_BOUNDS
+    assert "A_|A_ one_sum_product 6" in lines
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PERTURBED_DIGEST
+    assert main(["verify", "--n", "4", "--identities"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "identities n_max=4 checks=108 violations=60"
+    assert out[1:] == [f"violation {line}" for line in lines]
