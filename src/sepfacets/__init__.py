@@ -29,7 +29,6 @@ from .formulas import (
     join_upper_bound,
     n_complete_bipartite,
     n_complete_multipartite,
-    n_one_sum,
     suspension_recursion_check,
 )
 from .graphs import (

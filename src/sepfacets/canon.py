@@ -133,21 +133,20 @@ def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
     return tuple(seen[c] for c in sorted(seen))
 
 
-def generate_connected(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs on n vertices."""
+def _generated(n: int, connected_only: bool) -> Iterator[Graph]:
     cap = generator_limit()
     if not 1 <= n <= cap:
         raise GraphError(
             f"internal generator limited to n <= {cap}; ingest graph6 for larger n"
         )
-    return iter(_classes(n, True))
+    return iter(_classes(n, connected_only))
+
+
+def generate_connected(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of connected graphs on n vertices."""
+    return _generated(n, True)
 
 
 def generate_all(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of all simple graphs on n vertices."""
-    cap = generator_limit()
-    if not 1 <= n <= cap:
-        raise GraphError(
-            f"internal generator limited to n <= {cap}; ingest graph6 for larger n"
-        )
-    return iter(_classes(n, False))
+    return _generated(n, False)

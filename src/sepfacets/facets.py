@@ -31,7 +31,8 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   2^(number of components induced on S). A base that is itself a join is
   split first: N^(A + B) = 2 (2^a - 1)(2^b - 1) + N^(A) + N^(B).
 
-Scans over more than MAX_SCAN_VERTICES vertices are refused with GraphError.
+Scans over more than MAX_SCAN_VERTICES vertices, and oracle runs over more
+than MAX_ORACLE_VERTICES, are refused with GraphError.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .graphs import (
     iter_bits,
     reach,
 )
-from .limits import MAX_SCAN_VERTICES
+from .limits import MAX_ORACLE_VERTICES, MAX_SCAN_VERTICES
 
 
 @dataclass(frozen=True)
@@ -131,10 +132,15 @@ def enumerate_facets_oracle(g: Graph) -> list[FacetFunction]:
     Each spanning-tree edge gets a difference in {-1, 0, +1}; the root value
     is 0, so every labeling satisfying the edge condition appears exactly
     once. Candidates are kept when every non-tree edge differs by at most 1
-    and the strict edges span and connect the graph.
+    and the strict edges span and connect the graph. A graph on more than
+    MAX_ORACLE_VERTICES vertices (3^21 or more candidates) is refused.
     """
     _require_connected(g)
     n = g.n
+    if n > MAX_ORACLE_VERTICES:
+        raise GraphError(
+            f"a {n}-vertex graph is too large for the labeling oracle: 3^{n - 1} "
+            f"labelings (the oracle takes at most {MAX_ORACLE_VERTICES} vertices)")
     all_edges = edges(g)
     full = full_mask(n)
 
@@ -351,7 +357,7 @@ def count_facets(g: Graph) -> int:
     _require_connected(g)
     full = full_mask(g.n)
     total = 1
-    for vmask, _ in blocks(g):
+    for vmask in blocks(g):
         block = g if vmask == full else induced(g, vmask)
         side = _co_component(block)
         if side == full_mask(block.n):

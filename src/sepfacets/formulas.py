@@ -1,8 +1,7 @@
 """Closed-form facet counts, conjectured bounds, and structural identities.
 
-The closed forms cover complete multipartite graphs and products over
-1-sums. The bound pair encodes the conjectured min/max for connected graphs
-on n vertices, split by parity:
+The closed forms cover complete multipartite graphs. The bound pair encodes
+the conjectured min/max for connected graphs on n vertices, split by parity:
 
     odd n:   3 * 2^((n-1)/2) - 2  <=  N  <=  6^((n-1)/2)
     even n:  2^(n/2 + 1) - 2      <=  N  <=  14 * 6^(n/2 - 2)
@@ -32,6 +31,7 @@ from .graphs import (
     full_mask,
     induced,
     is_connected,
+    iter_bits,
     suspension,
 )
 
@@ -93,13 +93,6 @@ def n_complete_multipartite(parts: list[int]) -> int:
         raise ValueError("part sizes must be positive")
     total = sum(parts)
     return 2**total - sum(2**p - 2 for p in parts) - 2
-
-
-def n_one_sum(n1: int, n2: int) -> int:
-    """Facet count of a 1-sum from the counts of its two summands."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("facet counts must be positive")
-    return n1 * n2
 
 
 def conjecture_bounds(n: int) -> BoundPair:
@@ -238,7 +231,8 @@ def is_one_sum_of_triangles(g: Graph) -> bool:
     blks = blocks(g)
     if not blks or not is_connected(g):
         return False
-    return all(v.bit_count() == 3 and len(e) == 3 for v, e in blks)
+    # A biconnected block on 3 vertices is a triangle.
+    return all(vmask.bit_count() == 3 for vmask in blks)
 
 
 def is_k4_plus_triangles(g: Graph) -> bool:
@@ -251,11 +245,13 @@ def is_k4_plus_triangles(g: Graph) -> bool:
     if not is_connected(g):
         return False
     k4 = 0
-    for vmask, blk_edges in blocks(g):
-        nv, ne = vmask.bit_count(), len(blk_edges)
-        if (nv, ne) == (4, 6):
+    for vmask in blocks(g):
+        size = vmask.bit_count()
+        if size == 4:
+            if sum((g.adj[u] & vmask).bit_count() for u in iter_bits(vmask)) != 12:
+                return False
             k4 += 1
-        elif (nv, ne) != (3, 3):
+        elif size != 3:
             return False
     return k4 == 1
 

@@ -37,13 +37,6 @@ def iter_bits(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> Mask:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: adj[i] is the open-neighborhood bitmask of i."""
@@ -277,9 +270,6 @@ def complement(g: Graph) -> Graph:
 
 def suspension(g: Graph) -> Graph:
     """Add one apex vertex (index n) adjacent to every existing vertex."""
-    cap = max_vertices()
-    if g.n + 1 > cap:
-        raise GraphError(f"suspension exceeds {cap} vertices")
     apex = g.n
     rows = [row | bit(apex) for row in g.adj]
     rows.append(full_mask(g.n))
@@ -289,9 +279,6 @@ def suspension(g: Graph) -> Graph:
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus all cross edges; g2 relabeled after g1."""
     n = g1.n + g2.n
-    cap = max_vertices()
-    if n > cap:
-        raise GraphError(f"join exceeds {cap} vertices")
     right = full_mask(n) ^ full_mask(g1.n)
     rows = [g1.adj[v] | right for v in range(g1.n)]
     rows += [(g2.adj[v] << g1.n) | full_mask(g1.n) for v in range(g2.n)]
@@ -303,9 +290,6 @@ def one_sum(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     _check_vertex(g1, v1)
     _check_vertex(g2, v2)
     n = g1.n + g2.n - 1
-    cap = max_vertices()
-    if n > cap:
-        raise GraphError(f"one-sum exceeds {cap} vertices")
     remap = {}
     nxt = g1.n
     for w in range(g2.n):
@@ -332,8 +316,8 @@ def is_dominating_set(g: Graph, s: Mask) -> bool:
     return cover == full_mask(g.n)
 
 
-def blocks(g: Graph) -> list[tuple[Mask, list[Edge]]]:
-    """Biconnected components as (vertex_mask, edge_list); bridges count.
+def blocks(g: Graph) -> list[Mask]:
+    """Vertex masks of the biconnected components; bridges count.
 
     Isolated vertices belong to no block.
     """
@@ -341,19 +325,16 @@ def blocks(g: Graph) -> list[tuple[Mask, list[Edge]]]:
     low = [0] * g.n
     timer = 1
     stack: list[Edge] = []
-    out: list[tuple[Mask, list[Edge]]] = []
+    out: list[Mask] = []
 
     def emit(until: Edge) -> None:
-        blk = []
+        vmask = 0
         while True:
             e = stack.pop()
-            blk.append(e)
+            vmask |= bit(e[0]) | bit(e[1])
             if e == until:
                 break
-        vmask = 0
-        for a, b in blk:
-            vmask |= bit(a) | bit(b)
-        out.append((vmask, sorted(tuple(sorted(e)) for e in blk)))
+        out.append(vmask)
 
     for root in range(g.n):
         if disc[root]:
@@ -393,10 +374,6 @@ def _check_vertex(g: Graph, v: int) -> None:
 
 
 # Named families used across the test suites and the CLI examples.
-
-def empty_graph(n: int) -> Graph:
-    return from_edges(n, [])
-
 
 def complete_graph(n: int) -> Graph:
     return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])

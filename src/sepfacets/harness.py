@@ -61,6 +61,7 @@ from .graphs import (
     one_sum,
     suspension,
 )
+from .limits import generator_limit
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,10 @@ def verify_conjecture(
 class IdentitySuite:
     """One identity suite, callable as check_<name>(n_max).
 
-    cases(n_max) yields case tuples whose first item names the case in a
-    violation: a graph by its graph6 string, a pair of graphs as "a|b".
-    failures(*case) yields one (bound, value) for each way the case fails.
+    cases(n_max) yields case tuples: a graph or a pair of graphs, then the
+    rest of the case (vertices, a second graph, part sizes). A violation
+    names the whole case by _tag. failures(*case) yields one (bound, value)
+    for each way the case fails.
     """
 
     name: str
@@ -210,11 +212,22 @@ class IdentitySuite:
         for case in self.cases(n_max):
             checked += 1
             for bound, value in self.failures(*case):
-                named = case[0]
-                tag = (emit_graph6(named) if isinstance(named, Graph)
-                       else "|".join(emit_graph6(g) for g in named))
-                bad.append(Violation(tag, bound, value))
+                bad.append(Violation(_tag(case), bound, value))
         return checked, bad
+
+
+def _tag(case: tuple) -> str:
+    """The graph6 of a case's graph, or "a|b" for a pair, then ":" and the
+    rest of the case joined by "," (a graph by its graph6, a vertex or part
+    size as a number), as in A_|A_:0,1. ":" and "," lie outside the graph6
+    range 63-126."""
+    head, *rest = case
+    graphs = [head] if isinstance(head, Graph) else head
+    tag = "|".join(map(emit_graph6, graphs))
+    if rest:
+        tag += ":" + ",".join(emit_graph6(x) if isinstance(x, Graph) else str(x)
+                              for x in rest)
+    return tag
 
 
 # Families of cases.
@@ -281,15 +294,16 @@ def _joined_pairs(n_max: int) -> Iterator[tuple]:
 
 
 def _multipartite(n_max: int) -> Iterator[tuple]:
-    """(K_{l,m}, (l, m)) with l <= m and l + m <= n_max + 1, then the complete
-    multipartite graphs with at least three parts on at most n_max vertices."""
+    """(K_{l,m}, l, m) with l <= m and l + m <= n_max + 1, then (g, *parts)
+    for the complete multipartite graphs with at least three parts on at
+    most n_max vertices."""
     for total in range(2, n_max + 2):
         for l in range(1, total // 2 + 1):
-            yield complete_bipartite(l, total - l), (l, total - l)
+            yield complete_bipartite(l, total - l), l, total - l
     for total in range(3, n_max + 1):
         for parts in _partitions(total, total):
             if len(parts) >= 3:
-                yield complete_multipartite(list(parts)), parts
+                yield complete_multipartite(list(parts)), *parts
 
 
 def _partitions(remaining: int, biggest: int) -> Iterator[tuple[int, ...]]:
@@ -357,7 +371,7 @@ def _decomposition_sanity(g: Graph) -> Iterator[tuple[str, int]]:
             return
 
 
-def _multipartite_formula(g: Graph, parts: tuple[int, ...]) -> Iterator[tuple[str, int]]:
+def _multipartite_formula(g: Graph, *parts: int) -> Iterator[tuple[str, int]]:
     count = cached_count_facets(g)
     if len(parts) == 2:
         if count != n_complete_bipartite(*parts):
@@ -445,8 +459,9 @@ IDENTITY_SUITES = (
 
 def verify_identities(n_max: int) -> VerificationReport:
     """Run every identity suite over families up to n_max vertices."""
-    if n_max > 7:
-        raise GraphError("identity sweep limited to n_max <= 7")
+    cap = generator_limit()
+    if n_max > cap:
+        raise GraphError(f"identity sweep limited to n_max <= {cap}")
     start = time.monotonic()
     checked = 0
     violations: list[Violation] = []

@@ -1,13 +1,19 @@
-"""Size caps for graphs and the internal generator.
+"""Size caps: every upper bound on a vertex count is set here.
 
-Everything is tuned for desk-scale experiments: vertex sets are bitmasks,
-the generator enumerates isomorphism classes exhaustively, and canonical
-forms are found by a branch-and-bound search over degree-sorted vertex
-orderings that skips swaps of twin vertices. Both grow exponentially with
-n (n = 8 takes a few seconds), so the caps keep those paths honest.
-SEP_MAX_N lifts them at your own risk (memory and time grow fast). The
-facet scans have a fixed cap, MAX_SCAN_VERTICES, that SEP_MAX_N does not
-change.
+Three caps follow one rule: each is its default, raised to the environment
+variable SEP_MAX_N when that is larger. SEP_MAX_N never lowers a cap, so
+setting it can only let more inputs through (memory and time grow fast).
+
+* max_vertices: any Graph, default 64 (vertex sets are bitmasks).
+* generator_limit: the isomorph-free generator and the identity sweep that
+  runs over its families, default 7.
+* canonical_limit: canonical_form, a branch-and-bound search over
+  degree-sorted vertex orderings that skips swaps of twin vertices,
+  default 10.
+
+Two caps are fixed, whatever SEP_MAX_N says, and share one budget of about
+2^32 candidates: MAX_SCAN_VERTICES for the cut and vertex-subset scans and
+MAX_ORACLE_VERTICES for the labeling oracle.
 """
 
 import os
@@ -23,38 +29,32 @@ DEFAULT_CANONICAL_LIMIT = 10
 # 1-sums of small blocks are counted without a scan this large.
 MAX_SCAN_VERTICES = 32
 
-_ENV_VAR = "SEP_MAX_N"
+# Largest vertex count of enumerate_facets_oracle, which tries 3^(n-1)
+# labelings: 3^20 < 2^32 <= 3^21, the scans' budget.
+MAX_ORACLE_VERTICES = 21
 
 
-def _env_override() -> int | None:
-    raw = os.environ.get(_ENV_VAR)
+def _raised(default: int) -> int:
+    """default, or SEP_MAX_N when that is larger."""
+    raw = os.environ.get("SEP_MAX_N")
     if raw is None:
-        return None
+        return default
     try:
-        value = int(raw)
+        return max(default, int(raw))
     except ValueError:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{_ENV_VAR} must be positive, got {value}")
-    return value
+        raise ValueError(f"SEP_MAX_N must be an integer, got {raw!r}") from None
 
 
 def max_vertices() -> int:
     """Largest permitted vertex count for any Graph."""
-    override = _env_override()
-    if override is not None:
-        return max(override, DEFAULT_MAX_VERTICES)
-    return DEFAULT_MAX_VERTICES
+    return _raised(DEFAULT_MAX_VERTICES)
 
 
 def generator_limit() -> int:
-    """Largest n served by the internal isomorph-free generator."""
-    override = _env_override()
-    if override is not None:
-        return override
-    return DEFAULT_GENERATOR_LIMIT
+    """Largest n served by the isomorph-free generator and the identity sweep."""
+    return _raised(DEFAULT_GENERATOR_LIMIT)
 
 
 def canonical_limit() -> int:
     """Largest n accepted by canonical_form, whose ordering search is exponential in n."""
-    return max(DEFAULT_CANONICAL_LIMIT, generator_limit())
+    return _raised(DEFAULT_CANONICAL_LIMIT)

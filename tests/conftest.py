@@ -18,6 +18,25 @@ hypothesis.settings.register_profile("fast", max_examples=15)
 hypothesis.settings.register_profile("thorough", max_examples=500)
 
 
+def mask_of(vertices):
+    """Bitmask of the given vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def empty_graph(n):
+    return from_edges(n, [])
+
+
+def n_one_sum(n1, n2):
+    """Facet count of a 1-sum from the counts of its two summands."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError("facet counts must be positive")
+    return n1 * n2
+
+
 def ref_facet_vectors(n, edge_list):
     """All normalized facet labelings by direct enumeration.
 

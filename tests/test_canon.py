@@ -161,10 +161,12 @@ def test_generator_rejects_large_n(monkeypatch):
 def test_env_override_controls_caps(monkeypatch):
     from sepfacets.limits import canonical_limit, generator_limit, max_vertices
 
+    # SEP_MAX_N raises a cap above its default and never lowers one.
     monkeypatch.setenv("SEP_MAX_N", "3")
+    assert (max_vertices(), generator_limit(), canonical_limit()) == (64, 7, 10)
+    assert len(list(generate_connected(7))) == 853
     with pytest.raises(GraphError):
-        generate_connected(4)
-    assert len(list(generate_connected(3))) == 2
+        generate_connected(8)
     monkeypatch.setenv("SEP_MAX_N", "12")
     assert generator_limit() == 12
     assert canonical_limit() == 12

@@ -88,6 +88,11 @@ def test_count_refuses_large_scan(capsys):
     code, out, err = run(capsys, "count", "--edges", _spec(40, cycle))
     assert code == 1 and out == ""
     assert "40-vertex block is too large to scan" in err
+    cycle = [(i, (i + 1) % 30) for i in range(30)]
+    code, out, err = run(capsys, "count", "--edges", _spec(30, cycle),
+                         "--method", "oracle")
+    assert code == 1 and out == ""
+    assert "30-vertex graph is too large for the labeling oracle" in err
 
 
 def test_facets_output(capsys):
@@ -180,10 +185,13 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
     assert any(ln.startswith("violation ") for ln in out.splitlines())
 
 
-def test_verify_identities_cli(capsys):
+def test_verify_identities_cli(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--n", "3", "--identities")
     assert code == 0
     assert out.startswith("identities n_max=3")
+    monkeypatch.delenv("SEP_MAX_N", raising=False)
+    code, out, err = run(capsys, "verify", "--n", "8", "--identities")
+    assert code == 1 and out == "" and "n_max <= 7" in err
 
 
 def test_generate(capsys):

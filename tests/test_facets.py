@@ -24,17 +24,22 @@ from sepfacets.graphs import (
     contract_edges,
     cycle_graph,
     edges,
-    empty_graph,
     from_edges,
     is_connected,
     join,
-    mask_of,
     path_graph,
     star_graph,
     suspension,
 )
 
-from conftest import graph_strategy, ref_components, ref_facet_count, ref_facet_vectors
+from conftest import (
+    empty_graph,
+    graph_strategy,
+    mask_of,
+    ref_components,
+    ref_facet_count,
+    ref_facet_vectors,
+)
 
 EXAMPLE = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)])
 
@@ -295,6 +300,8 @@ def test_scan_refuses_large_blocks():
         count_suspension_via_domination(cycle_graph(33))
     with pytest.raises(GraphError, match="33-vertex block"):
         subgraph_component_value(cycle_graph(33))
+    with pytest.raises(GraphError, match="22-vertex graph"):
+        enumerate_facets_oracle(cycle_graph(22))
 
 
 def test_count_long_path_beyond_recursion_limit(monkeypatch):

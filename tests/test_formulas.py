@@ -20,7 +20,6 @@ from sepfacets.formulas import (
     n_complete_bipartite,
     n_complete_multipartite,
     n_from_multipartite_parts,
-    n_one_sum,
     suspension_recursion_check,
 )
 from sepfacets.graphs import (
@@ -29,12 +28,13 @@ from sepfacets.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    empty_graph,
     join,
     one_sum,
     path_graph,
     star_graph,
 )
+
+from conftest import empty_graph, n_one_sum
 
 BOWTIE = one_sum(complete_graph(3), 0, complete_graph(3), 0)
 K4_K3 = one_sum(complete_graph(4), 0, complete_graph(3), 0)

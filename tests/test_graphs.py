@@ -18,7 +18,6 @@ from sepfacets.graphs import (
     delete_vertex,
     edge_count,
     edges,
-    empty_graph,
     from_edges,
     full_mask,
     induced,
@@ -31,7 +30,13 @@ from sepfacets.graphs import (
     suspension,
 )
 
-from conftest import graph_strategy, ref_components, ref_is_isomorphic, ref_two_coloring
+from conftest import (
+    empty_graph,
+    graph_strategy,
+    ref_components,
+    ref_is_isomorphic,
+    ref_two_coloring,
+)
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -155,6 +160,19 @@ def test_one_sum():
     assert extremal.n == 6 and edge_count(extremal) == 9
 
 
+@pytest.mark.parametrize("build", [
+    lambda: suspension(path_graph(64)),
+    lambda: join(path_graph(30), path_graph(35)),
+    lambda: one_sum(path_graph(30), 0, path_graph(36), 0),
+], ids=["suspension", "join", "one_sum"])
+def test_constructors_refuse_results_over_the_cap(monkeypatch, build):
+    monkeypatch.delenv("SEP_MAX_N", raising=False)
+    with pytest.raises(GraphError, match=r"vertex count 65 outside \[1, 64\]"):
+        build()
+    monkeypatch.setenv("SEP_MAX_N", "65")
+    assert build().n == 65
+
+
 def test_dominating_sets():
     p = path_graph(3)
     assert is_dominating_set(p, full_mask(3))
@@ -165,10 +183,8 @@ def test_dominating_sets():
 
 def test_blocks_bowtie():
     bowtie = one_sum(K3, 0, K3, 0)
-    blks = blocks(bowtie)
-    assert len(blks) == 2
-    assert all(v.bit_count() == 3 and len(e) == 3 for v, e in blks)
-    assert [v.bit_count() for v, _ in blocks(path_graph(4))] == [2, 2, 2]
+    assert sorted(blocks(bowtie)) == [0b00111, 0b11001]
+    assert sorted(blocks(path_graph(4))) == [0b0011, 0b0110, 0b1100]
 
 
 @given(graph_strategy(max_n=7))

@@ -2,11 +2,14 @@ import hashlib
 import json
 from collections import Counter
 
+import pytest
+
 from sepfacets.canon import canonical_form, generate_connected
 from sepfacets.cli import main
 from sepfacets.facets import count_facets
 from sepfacets.formats import emit_graph6, parse_graph6
 from sepfacets.graphs import (
+    GraphError,
     complete_bipartite,
     complete_graph,
     one_sum,
@@ -203,9 +206,10 @@ SUITE_CHECKS = [
     ("double_suspension", 2, 17),
 ]
 
-# verify_identities(4) with every cached count raised by 2, recorded before
-# the suites became rows of one table: 60 violations over 10 bounds, and the
-# sha256 of their "graph6 bound value" lines joined by newlines.
+# verify_identities(4) with every cached count raised by 2: 60 violations
+# over 10 bounds, and the sha256 of their "tag bound value" lines joined by
+# newlines. The counts were recorded before the suites became rows of one
+# table; the digest since each tag names the whole case.
 PERTURBED_BOUNDS = {
     "q_bound": 3,
     "bipartite_minimum_equality": 3,
@@ -218,7 +222,16 @@ PERTURBED_BOUNDS = {
     "join_conjecture_bound": 5,
     "suspension_recursion": 14,
 }
-PERTURBED_DIGEST = "b08a6e9657f92a95dfc464f6a8b3f93fc346bf40cb736ead42d141507a64e979"
+PERTURBED_DIGEST = "eb97c5ad1bc239fcb2af0cf86abfff8312d37c11e9efb057fb6615fa40584f10"
+
+
+def test_identity_sweep_shares_the_generator_cap(monkeypatch):
+    monkeypatch.setattr("sepfacets.harness.IDENTITY_SUITES", ())
+    monkeypatch.delenv("SEP_MAX_N", raising=False)
+    with pytest.raises(GraphError, match="n_max <= 7"):
+        verify_identities(8)
+    monkeypatch.setenv("SEP_MAX_N", "8")
+    assert verify_identities(8).graphs_checked == 0
 
 
 def test_identity_suite_check_counts():
@@ -237,7 +250,8 @@ def test_identities_report_every_failed_check(monkeypatch, capsys):
     lines = [f"{v.graph6} {v.bound} {v.value}" for v in report.violations]
     assert report.graphs_checked == 108 and len(lines) == 60
     assert Counter(v.bound for v in report.violations) == PERTURBED_BOUNDS
-    assert "A_|A_ one_sum_product 6" in lines
+    assert len(set(lines)) == len(lines)
+    assert "A_|A_:0,1 one_sum_product 6" in lines
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PERTURBED_DIGEST
     assert main(["verify", "--n", "4", "--identities"]) == 2
     out = capsys.readouterr().out.splitlines()
