@@ -40,8 +40,12 @@ def canonical_form(g: Graph) -> bytes:
     cap = canonical_limit()
     if g.n > cap:
         raise GraphError(f"canonical form limited to {cap} vertices, got {g.n}")
-    n = g.n
-    adj = g.adj
+    return _certificate(g.adj)
+
+
+def _certificate(adj: tuple[int, ...] | list[int]) -> bytes:
+    """canonical_form of the graph with rows adj, with no size check."""
+    n = len(adj)
     degs = [adj[v].bit_count() for v in range(n)]
     target = sorted(degs)
     earlier_twins = [0] * n
@@ -116,6 +120,9 @@ def _passes_deletion_rule(rows: list[int], connected_only: bool) -> bool:
 def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
+    cap = canonical_limit()
+    if n > cap:
+        raise GraphError(f"canonical form limited to {cap} vertices, got {n}")
     parents = _classes(n - 1, connected_only)
     new = n - 1
     lowest = 1 if connected_only else 0
@@ -126,10 +133,9 @@ def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
             rows.append(nbhd)
             if not _passes_deletion_rule(rows, connected_only):
                 continue
-            candidate = Graph(n, tuple(rows))
-            cert = canonical_form(candidate)
+            cert = _certificate(rows)
             if cert not in seen:
-                seen[cert] = candidate
+                seen[cert] = Graph(n, tuple(rows))
     return tuple(seen[c] for c in sorted(seen))
 
 

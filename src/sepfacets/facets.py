@@ -10,21 +10,21 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   forming a spanning connected subgraph. Differences are enumerated on a
   spanning tree (3^(n-1) candidates) instead of raw values.
 
-* count_facets multiplies over biconnected blocks, since the count is
-  multiplicative under 1-sums. A block whose complement is disconnected is
-  a join G1 + G2 and is counted by the join identity (_count_join, which
-  derives it): with n_i vertices and c_i components in G_i and N^ the
-  domination count below,
+* count_facets runs on adjacency rows, builds no Graph and tries the join
+  identity first: a graph whose complement is disconnected is a join
+  G1 + G2, and with n_i vertices and c_i components in G_i and N^ the
+  domination count below, _count_join (which derives it) gives
       N = (2^n1 - 2)(2^n2 - 2) - (2^c1 - 2)(2^c2 - 2) + N^(G1) + N^(G2) - 2.
-  Any other block is a cut scan: it sums multiplicities over the unordered
-  bipartitions (V1, V2) whose crossing edges form a spanning connected
-  subgraph. Each such cut contributes the facet count of the bipartite
-  quotient obtained by contracting all non-crossing edges, counted on
-  bitmasks without building a Graph. The scan reads every neighbourhood of
-  a vertex set from two tables of 2^(n/2) entries (_union_tables). mu_of
-  recomputes a cut's multiplicity through contract_edges and
-  count_bipartite_strict instead, and the whole-graph sum over
-  enumerate_facet_subgraphs is the cut count with no join split.
+  Other graphs, and joins with a one-vertex side, are split into blocks,
+  as the count is multiplicative under 1-sums; a join block takes the
+  identity and any other block is a cut scan over the bipartitions whose
+  crossing edges span and connect it. Each cut adds the facet count of the
+  bipartite quotient left by contracting the other edges: 2^(q-1) for the
+  star that most cuts give, else a count on bitmasks. Neighbourhoods of
+  vertex sets come from two tables of 2^(n/2) entries (_union_tables).
+  mu_of recounts a cut through contract_edges and count_bipartite_strict,
+  and the whole-graph sum over enumerate_facet_subgraphs is the cut count
+  with no join split.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph by scanning dominating sets S of the base: each contributes
@@ -49,11 +49,10 @@ from .graphs import (
     bipartition,
     bit,
     blocks,
-    component_count,
     contract_edges,
     edges,
     full_mask,
-    induced,
+    induced_rows,
     is_connected,
     iter_bits,
     reach,
@@ -248,18 +247,18 @@ def _components(lo: list[Mask], hi: list[Mask], h: int, s: Mask) -> list[Mask]:
     return comps
 
 
-def _cuts(g: Graph) -> Iterator[tuple[Mask, int]]:
-    """Spanning connected cuts of g as (part2, mu), in ascending part2 order.
+def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
+    """Spanning connected cuts of adj as (part2, mu), in ascending part2 order.
 
     Vertex 0 is pinned to part1, so each unordered cut appears once. mu is
-    the strict labeling count of the cut's bipartite quotient: its vertices
-    are the components of the same-side edges and its edges come from the
-    crossing ones. The quotient is kept as neighbour masks, not as a Graph.
-    Every step (the crossing-edge tests, the floods and the quotient rows)
-    takes neighbourhoods of vertex sets from _union_tables.
+    the strict labeling count of the cut's connected bipartite quotient: its
+    vertices are the components of the same-side edges and its edges come
+    from the crossing ones. With one component on a side it is the star
+    K_{1,q-1} and mu = 2^(q-1); any other goes to _strict_labelings as
+    neighbour masks. Every step takes neighbourhoods from _union_tables.
     """
-    n = g.n
-    lo, hi, h = _union_tables(g.adj)
+    n = len(adj)
+    lo, hi, h = _union_tables(adj)
     low = (1 << h) - 1
     full = full_mask(n)
     for half in range(1, 1 << (n - 1)):
@@ -282,7 +281,11 @@ def _cuts(g: Graph) -> Iterator[tuple[Mask, int]]:
             seen = grown
         if seen != part1:
             continue
-        comps = _components(lo, hi, h, part1) + _components(lo, hi, h, part2)
+        comps1 = _components(lo, hi, h, part1)
+        comps = comps1 + _components(lo, hi, h, part2)
+        if len(comps1) in (1, len(comps) - 1):
+            yield part2, 1 << (len(comps) - 1)
+            continue
         # N(comp) meets comp itself through its internal edges; a quotient
         # row must not, or _strict_labelings would see a loop.
         nbrs = []
@@ -313,7 +316,7 @@ def enumerate_facet_subgraphs(g: Graph) -> list[FacetSubgraph]:
             tuple((i, j) for i, j in all_edges if (part2 >> i ^ part2 >> j) & 1),
             mu,
         )
-        for part2, mu in _cuts(g)
+        for part2, mu in _cuts(g.adj)
     ]
 
 
@@ -347,35 +350,44 @@ def mu_of(g: Graph, h: FacetSubgraph) -> int:
 
 
 def count_facets(g: Graph) -> int:
-    """Facet count via the cut decomposition, multiplied over blocks.
+    """Facet count via the join identity or the cut decomposition.
 
-    The facet count is multiplicative under 1-sums, so it is the product,
-    over the biconnected blocks, of each block's count. A block whose
-    complement is disconnected is a join G1 + G2 and is counted by
-    _count_join; any other block by the sum of its cut multiplicities.
+    A join G1 + G2 whose sides both have two or more vertices is
+    2-connected and goes straight to _count_join. Otherwise the count is
+    the product, over the biconnected blocks, of each block's count: by
+    _count_join for a join block, else the sum of its cut multiplicities.
     """
     _require_connected(g)
     full = full_mask(g.n)
+    side = _co_component(g.adj)
+    if side & (side - 1) and (full ^ side) & ((full ^ side) - 1):
+        return _count_join(g.adj, side)
     total = 1
     for vmask in blocks(g):
-        block = g if vmask == full else induced(g, vmask)
-        side = _co_component(block)
-        if side == full_mask(block.n):
-            total *= sum(mu for _, mu in _cuts(block))
+        rows = g.adj if vmask == full else induced_rows(g.adj, vmask)
+        side = _co_component(rows)
+        if side == full_mask(len(rows)):
+            total *= sum(mu for _, mu in _cuts(rows))
         else:
-            total *= _count_join(block, side)
+            total *= _count_join(rows, side)
     return total
 
 
-def _co_component(g: Graph) -> Mask:
-    """The component of vertex 0 in the complement of g."""
-    full = full_mask(g.n)
-    co = [full ^ row ^ (1 << v) for v, row in enumerate(g.adj)]
+def _co_component(adj: tuple[Mask, ...]) -> Mask:
+    """The component of vertex 0 in the complement of adj."""
+    full = full_mask(len(adj))
+    co = [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
     return reach(co, 1, full)
 
 
-def _count_join(g: Graph, side: Mask) -> int:
-    """Facet count of a connected join g = G1 + G2, with G1 = g[side].
+def _component_count(adj: tuple[Mask, ...]) -> int:
+    """Number of components: the distinct sets reachable from one vertex."""
+    full = full_mask(len(adj))
+    return len({reach(adj, 1 << v, full) for v in range(len(adj))})
+
+
+def _count_join(adj: tuple[Mask, ...], side: Mask) -> int:
+    """Facet count of a connected join g = G1 + G2 with rows adj, G1 = g[side].
 
     With n_i vertices and c_i components in G_i, and N^(H) the count of
     count_suspension_via_domination(H), the count is
@@ -404,13 +416,11 @@ def _count_join(g: Graph, side: Mask) -> int:
 
     The D_i cancel in the total.
     """
-    full = full_mask(g.n)
-    g1, g2 = induced(g, side), induced(g, full ^ side)
-    n1, n2 = g1.n, g2.n
-    c1, c2 = component_count(g1), component_count(g2)
+    g1, g2 = induced_rows(adj, side), induced_rows(adj, full_mask(len(adj)) ^ side)
+    n1, n2 = len(g1), len(g2)
+    c1, c2 = _component_count(g1), _component_count(g2)
     return (((1 << n1) - 2) * ((1 << n2) - 2) - ((1 << c1) - 2) * ((1 << c2) - 2)
-            + count_suspension_via_domination(g1)
-            + count_suspension_via_domination(g2) - 2)
+            + _suspension_count(g1) + _suspension_count(g2) - 2)
 
 
 def count_bipartite_strict(b: Graph) -> int:
@@ -437,15 +447,20 @@ def count_suspension_via_domination(g: Graph) -> int:
     graphs are scanned, with cover N(S) | S and components by flood on the
     neighbourhood-union tables.
     """
-    n = g.n
+    return _suspension_count(g.adj)
+
+
+def _suspension_count(adj: tuple[Mask, ...]) -> int:
+    """count_suspension_via_domination on the rows adj."""
+    n = len(adj)
     full = full_mask(n)
-    side = _co_component(g)
+    side = _co_component(adj)
     if side != full:
         a = side.bit_count()
         return (2 * ((1 << a) - 1) * ((1 << (n - a)) - 1)
-                + count_suspension_via_domination(induced(g, side))
-                + count_suspension_via_domination(induced(g, full ^ side)))
-    return _component_power_sum(g, full)
+                + _suspension_count(induced_rows(adj, side))
+                + _suspension_count(induced_rows(adj, full ^ side)))
+    return _component_power_sum(adj, full)
 
 
 def subgraph_component_value(g: Graph) -> int:
@@ -454,19 +469,19 @@ def subgraph_component_value(g: Graph) -> int:
     The empty subset contributes 1. This upper-bounds the facet count of
     the suspension of g, since dominating sets are a subfamily.
     """
-    return _component_power_sum(g, 0)
+    return _component_power_sum(g.adj, 0)
 
 
-def _component_power_sum(g: Graph, cover: Mask) -> int:
-    """Sum of 2^c(g[S]) over the vertex sets S with cover inside N(S) | S.
+def _component_power_sum(adj: tuple[Mask, ...], cover: Mask) -> int:
+    """Sum of 2^c(adj[S]) over the vertex sets S with cover inside N(S) | S.
 
     Covers and components come from the neighbourhood-union tables, so a
     graph on more than MAX_SCAN_VERTICES vertices is refused.
     """
-    lo, hi, h = _union_tables(g.adj)
+    lo, hi, h = _union_tables(adj)
     low = (1 << h) - 1
     total = 0
-    for s in range(1 << g.n):
+    for s in range(1 << len(adj)):
         if cover & ~(lo[s & low] | hi[s >> h] | s):
             continue
         total += 1 << len(_components(lo, hi, h, s))

@@ -168,21 +168,26 @@ def bipartition(g: Graph) -> tuple[Mask, Mask] | None:
     return part0, part1
 
 
+def induced_rows(adj: tuple[Mask, ...], s: Mask) -> tuple[Mask, ...]:
+    """Rows of adj induced on the nonempty set s, relabeled in ascending order."""
+    old = list(iter_bits(s))
+    index = {v: k for k, v in enumerate(old)}
+    rows = []
+    for v in old:
+        row = 0
+        for w in iter_bits(adj[v] & s):
+            row |= 1 << index[w]
+        rows.append(row)
+    return tuple(rows)
+
+
 def induced(g: Graph, s: Mask) -> Graph:
     """Induced subgraph on s, relabeled 0..|s|-1 in ascending vertex order."""
     if s == 0:
         raise GraphError("induced subgraph on the empty set is not defined")
     if s & ~full_mask(g.n):
         raise GraphError("vertex set has bits outside the graph")
-    old = list(iter_bits(s))
-    index = {v: k for k, v in enumerate(old)}
-    rows = []
-    for v in old:
-        row = 0
-        for w in iter_bits(g.adj[v] & s):
-            row |= 1 << index[w]
-        rows.append(row)
-    return Graph(len(old), tuple(rows))
+    return Graph(s.bit_count(), induced_rows(g.adj, s))
 
 
 def contract_edges(g: Graph, contract: Iterable[Edge]) -> Graph:

@@ -132,6 +132,8 @@ def sweep_conjecture(
 ) -> ConjectureSweep:
     """Check the conjectured bounds for each input graph (default: all
     connected classes on n vertices). Results keep the input order."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.monotonic()
     if graphs is None:
         graphs = generate_connected(n)
@@ -139,10 +141,11 @@ def sweep_conjecture(
     bounds = conjecture_bounds(n)
 
     tasks = [(g6, n) for g6 in g6s]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_conjecture_task, tasks,
-                               chunksize=max(1, len(tasks) // (jobs * 4)))
+                               chunksize=max(1, len(tasks) // (workers * 4)))
     else:
         results = [_conjecture_task(t) for t in tasks]
 

@@ -175,6 +175,13 @@ def test_verify_input_error_exit_code(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--n", "4", "--jobs", jobs)
+    assert code == 1 and out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 def test_verify_violation_exit_code(capsys, monkeypatch):
     # impossible bracket, so every graph violates; exercises the exit path
     monkeypatch.setattr("sepfacets.harness.conjecture_bounds",

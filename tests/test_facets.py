@@ -1,8 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
+from sepfacets import facets
 from sepfacets.canon import generate_all, generate_connected
 from sepfacets.facets import (
     FacetSubgraph,
@@ -27,6 +29,7 @@ from sepfacets.graphs import (
     from_edges,
     is_connected,
     join,
+    one_sum,
     path_graph,
     star_graph,
     suspension,
@@ -265,6 +268,55 @@ def test_quotients_are_connected_bipartite():
                 assert bipartition(quotient) is not None
                 assert h.mu == count_bipartite_strict(quotient)
             assert count_facets(g) == sum(h.mu for h in subs)
+
+
+def test_large_quotients_match_mu_of(monkeypatch):
+    # Sparse 11-vertex graphs reach quotients of 7 or more vertices on both
+    # branches of the cut scan: a star (one side a single component) takes
+    # 2^(q-1) without a search, any other quotient goes to the search.
+    searched = []
+    search = facets._strict_labelings
+    monkeypatch.setattr(facets, "_strict_labelings",
+                        lambda nbrs: searched.append(len(nbrs)) or search(nbrs))
+    rng = random.Random(2)
+    pairs = [(i, j) for j in range(11) for i in range(j)]
+    stars, others = [], []
+    graphs = 0
+    while graphs < 4:
+        g = from_edges(11, rng.sample(pairs, 15))
+        if not is_connected(g):
+            continue
+        graphs += 1
+        for h in enumerate_facet_subgraphs(g):
+            assert h.mu == mu_of(g, h)
+            comps = ref_components(g.n, [e for e in edges(g) if e not in h.cross_edges])
+            side1 = sum(1 for c in comps if h.part1 >> c[0] & 1)
+            star = side1 in (1, len(comps) - 1)
+            (stars if star else others).append(len(comps))
+    assert max(stars) >= 7 and max(others) >= 7
+    assert sorted(searched) == sorted(others)
+
+
+def test_count_facets_builds_no_graph(monkeypatch):
+    cases = [
+        join(complete_bipartite(3, 3), complete_graph(3)),
+        one_sum(cycle_graph(5), 0, complete_graph(4), 0),
+        suspension(from_edges(4, [(0, 1)])),  # a cone over K2 + 2 K1
+        path_graph(6),
+    ]
+    expected = [sum(h.mu for h in enumerate_facet_subgraphs(g)) for g in cases]
+    built = []
+    validate = Graph.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        validate(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    assert [count_facets(g) for g in cases] == expected
+    assert built == []
+    complete_graph(2)
+    assert built == [2]
 
 
 def test_join_identity_on_connected_classes():

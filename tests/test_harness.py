@@ -103,6 +103,33 @@ def test_sweep_worker_count_does_not_change_results():
     assert serial.report.extremal_hits == parallel.report.extremal_hits
 
 
+def test_sweep_pool_has_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr("sepfacets.harness.Pool", FakePool)
+    graphs = [emit_graph6(g) for g in
+              (path_graph(4), complete_graph(4), complete_bipartite(2, 2))]
+    sweep = sweep_conjecture(4, graphs, jobs=8)
+    assert sizes == [3]
+    assert sweep.rows == sweep_conjecture(4, graphs, jobs=1).rows
+    with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+        sweep_conjecture(4, graphs, jobs=0)
+    assert sizes == [3]
+
+
 def test_disconnected_graph_is_input_error_not_violation():
     from sepfacets.graphs import from_edges
 
