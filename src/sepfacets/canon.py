@@ -120,9 +120,6 @@ def _passes_deletion_rule(rows: list[int], connected_only: bool) -> bool:
 def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
-    cap = canonical_limit()
-    if n > cap:
-        raise GraphError(f"canonical form limited to {cap} vertices, got {n}")
     parents = _classes(n - 1, connected_only)
     new = n - 1
     lowest = 1 if connected_only else 0

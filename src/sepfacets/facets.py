@@ -10,26 +10,27 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   forming a spanning connected subgraph. Differences are enumerated on a
   spanning tree (3^(n-1) candidates) instead of raw values.
 
-* count_facets runs on adjacency rows, builds no Graph and tries the join
-  identity first: a graph whose complement is disconnected is a join
-  G1 + G2, and with n_i vertices and c_i components in G_i and N^ the
-  domination count below, _count_join (which derives it) gives
+* count_facets runs on adjacency rows, builds no Graph and follows one rule
+  chain. A join G1 + G2 (the complement is disconnected), whatever its side
+  sizes, goes to _count_join, which derives from each side's vertex count
+  n_i, component count c_i and domination count N^ (below)
       N = (2^n1 - 2)(2^n2 - 2) - (2^c1 - 2)(2^c2 - 2) + N^(G1) + N^(G2) - 2.
-  Other graphs, and joins with a one-vertex side, are split into blocks,
-  as the count is multiplicative under 1-sums; a join block takes the
-  identity and any other block is a cut scan over the bipartitions whose
-  crossing edges span and connect it. Each cut adds the facet count of the
-  bipartite quotient left by contracting the other edges: 2^(q-1) for the
-  star that most cuts give, else a count on bitmasks. Neighbourhoods of
-  vertex sets come from two tables of 2^(n/2) entries (_union_tables).
-  mu_of recounts a cut through contract_edges and count_bipartite_strict,
-  and the whole-graph sum over enumerate_facet_subgraphs is the cut count
-  with no join split.
+  Any other graph with a cut vertex is the product of the chain over its
+  blocks, as the count is multiplicative under 1-sums, and any other graph
+  is a cut scan over the bipartitions whose crossing edges span and connect
+  it. Each cut adds the facet count of the bipartite quotient left by
+  contracting the other edges: 2^(q-1) for the star that most cuts give,
+  else a count on bitmasks. Neighbourhoods of vertex sets come from two
+  tables of 2^(n/2) entries (_union_tables). mu_of recounts a cut through
+  contract_edges and count_bipartite_strict, and the whole-graph sum over
+  enumerate_facet_subgraphs is the cut count with no join split.
 
 * count_suspension_via_domination counts facets of the suspension of a base
-  graph by scanning dominating sets S of the base: each contributes
-  2^(number of components induced on S). A base that is itself a join is
-  split first: N^(A + B) = 2 (2^a - 1)(2^b - 1) + N^(A) + N^(B).
+  graph from the dominating sets S of the base, each giving 2^(number of
+  components induced on S). It walks vertex sets of the base: a
+  disconnected set is the product of its components' counts, a set whose
+  complement splits is counted from its parts in closed form, and any
+  other set is scanned.
 
 Scans over more than MAX_SCAN_VERTICES vertices, and oracle runs over more
 than MAX_ORACLE_VERTICES, are refused with GraphError.
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from .graphs import (
@@ -49,6 +51,8 @@ from .graphs import (
     bipartition,
     bit,
     blocks,
+    complement,
+    components,
     contract_edges,
     edges,
     full_mask,
@@ -350,44 +354,32 @@ def mu_of(g: Graph, h: FacetSubgraph) -> int:
 
 
 def count_facets(g: Graph) -> int:
-    """Facet count via the join identity or the cut decomposition.
-
-    A join G1 + G2 whose sides both have two or more vertices is
-    2-connected and goes straight to _count_join. Otherwise the count is
-    the product, over the biconnected blocks, of each block's count: by
-    _count_join for a join block, else the sum of its cut multiplicities.
+    """Facet count by one rule chain on adjacency rows: a join G1 + G2 (the
+    complement is disconnected) of any side sizes by _count_join, any other
+    graph with a cut vertex by the product of the chain over its blocks
+    (the count is multiplicative under 1-sums), and any other graph by the
+    sum of its cut multiplicities.
     """
     _require_connected(g)
-    full = full_mask(g.n)
-    side = _co_component(g.adj)
-    if side & (side - 1) and (full ^ side) & ((full ^ side) - 1):
-        return _count_join(g.adj, side)
-    total = 1
-    for vmask in blocks(g):
-        rows = g.adj if vmask == full else induced_rows(g.adj, vmask)
-        side = _co_component(rows)
-        if side == full_mask(len(rows)):
-            total *= sum(mu for _, mu in _cuts(rows))
-        else:
-            total *= _count_join(rows, side)
-    return total
+    return _count_rows(g.adj)
 
 
-def _co_component(adj: tuple[Mask, ...]) -> Mask:
-    """The component of vertex 0 in the complement of adj."""
+def _count_rows(adj: tuple[Mask, ...], block: bool = False) -> int:
+    """count_facets on the rows adj; block says adj is already one block."""
     full = full_mask(len(adj))
-    co = [full ^ row ^ (1 << v) for v, row in enumerate(adj)]
-    return reach(co, 1, full)
+    co = tuple(full ^ row ^ (1 << v) for v, row in enumerate(adj))
+    side = reach(co, 1, full)
+    if side != full:
+        return _count_join(adj, co, side)
+    parts = [full] if block else blocks(adj)
+    if len(parts) > 1:
+        return prod(_count_rows(induced_rows(adj, b), True) for b in parts)
+    return sum(mu for _, mu in _cuts(adj))
 
 
-def _component_count(adj: tuple[Mask, ...]) -> int:
-    """Number of components: the distinct sets reachable from one vertex."""
-    full = full_mask(len(adj))
-    return len({reach(adj, 1 << v, full) for v in range(len(adj))})
-
-
-def _count_join(adj: tuple[Mask, ...], side: Mask) -> int:
-    """Facet count of a connected join g = G1 + G2 with rows adj, G1 = g[side].
+def _count_join(adj: tuple[Mask, ...], co: tuple[Mask, ...], side: Mask) -> int:
+    """Facet count of a connected join g = G1 + G2 with rows adj and
+    complement rows co, G1 = g[side].
 
     With n_i vertices and c_i components in G_i, and N^(H) the count of
     count_suspension_via_domination(H), the count is
@@ -416,11 +408,11 @@ def _count_join(adj: tuple[Mask, ...], side: Mask) -> int:
 
     The D_i cancel in the total.
     """
-    g1, g2 = induced_rows(adj, side), induced_rows(adj, full_mask(len(adj)) ^ side)
-    n1, n2 = len(g1), len(g2)
-    c1, c2 = _component_count(g1), _component_count(g2)
+    rest = full_mask(len(adj)) ^ side
+    n1, n2 = side.bit_count(), rest.bit_count()
+    c1, c2 = len(components(adj, side)), len(components(adj, rest))
     return (((1 << n1) - 2) * ((1 << n2) - 2) - ((1 << c1) - 2) * ((1 << c2) - 2)
-            + _suspension_count(g1) + _suspension_count(g2) - 2)
+            + _suspension_count(adj, co, side) + _suspension_count(adj, co, rest) - 2)
 
 
 def count_bipartite_strict(b: Graph) -> int:
@@ -438,29 +430,43 @@ def count_bipartite_strict(b: Graph) -> int:
 
 
 def count_suspension_via_domination(g: Graph) -> int:
-    """Facet count of the suspension of g, summed over dominating sets of g.
+    """Facet count N^(g) of the suspension of g: each dominating set S of g
+    gives 2^c(g[S]). Vertex sets s of g are walked with three rules:
 
-    Each dominating set S contributes 2^c(g[S]). When g is a join A + B
-    (its complement is disconnected), a set meeting both sides dominates
-    and induces a connected graph, and a set inside one side must dominate
-    that side, so N^(A + B) = 2 (2^a - 1)(2^b - 1) + N^(A) + N^(B). Other
-    graphs are scanned, with cover N(S) | S and components by flood on the
-    neighbourhood-union tables.
+    * g[s] disconnected: the suspension of a disjoint union is the 1-sum of
+      the suspensions at the apex, so N^ is the product over the components.
+    * the complement of g[s] splits into k >= 2 parts A_i: a set meeting two
+      parts dominates g[s] and induces a connected graph, so it gives 2, and
+      a set inside one part must dominate that part, so those sets give
+      N^(A_i). With 2^|s| - 1 nonempty sets in all,
+          N^(s) = 2 (2^|s| - 1 - sum (2^|A_i| - 1)) + sum N^(A_i).
+    * otherwise the dominating sets of g[s] are scanned, with cover
+      N(S) | S and components by flood on the neighbourhood-union tables.
     """
-    return _suspension_count(g.adj)
+    return _suspension_count(g.adj, complement(g).adj, full_mask(g.n))
 
 
-def _suspension_count(adj: tuple[Mask, ...]) -> int:
-    """count_suspension_via_domination on the rows adj."""
-    n = len(adj)
-    full = full_mask(n)
-    side = _co_component(adj)
-    if side != full:
-        a = side.bit_count()
-        return (2 * ((1 << a) - 1) * ((1 << (n - a)) - 1)
-                + _suspension_count(induced_rows(adj, side))
-                + _suspension_count(induced_rows(adj, full ^ side)))
-    return _component_power_sum(adj, full)
+def _suspension_count(adj: tuple[Mask, ...], co: tuple[Mask, ...], s: Mask) -> int:
+    """N^ of adj induced on the nonempty set s; co holds the complement rows.
+
+    The count so far is scale * N^(s) + shift. Each split keeps its largest
+    part as s and recurses into the others, which hold at most half of s.
+    """
+    scale, shift = 1, 0
+    while True:
+        parts = components(adj, s)
+        if len(parts) > 1:
+            s = max(parts, key=int.bit_count)
+            scale *= prod(_suspension_count(adj, co, p) for p in parts if p != s)
+            continue
+        parts = components(co, s)
+        if len(parts) == 1:
+            rows = induced_rows(adj, s)
+            return scale * _component_power_sum(rows, full_mask(len(rows))) + shift
+        across = (1 << s.bit_count()) - 1 - sum((1 << p.bit_count()) - 1 for p in parts)
+        s = max(parts, key=int.bit_count)
+        shift += scale * (2 * across + sum(_suspension_count(adj, co, p)
+                                           for p in parts if p != s))
 
 
 def subgraph_component_value(g: Graph) -> int:

@@ -29,7 +29,6 @@ from .graphs import (
     delete_vertex,
     edge_count,
     full_mask,
-    induced,
     is_connected,
     iter_bits,
     suspension,
@@ -122,7 +121,9 @@ def join_upper_bound(
     """Upper bound for the facet count of a join of two graphs.
 
     nhat_i is the facet count of the suspension of factor i, n_i its vertex
-    count, m_i its number of connected components.
+    count, m_i its number of connected components. It exceeds the exact
+    count of facets._count_join by 2^(m1 + m2) - 2^m1 - 2^m2 + 4 >= 4, so
+    it is never tight.
     """
     return (
         nhat1
@@ -174,15 +175,14 @@ def complete_multipartite_parts(g: Graph) -> list[int] | None:
     """Part sizes (ascending) if g is complete multipartite, else None.
 
     A graph is complete multipartite exactly when its complement is a
-    disjoint union of cliques; the parts are the complement's components.
+    disjoint union of cliques, that is when each complement component is
+    independent in g; the parts are those components.
     """
-    co = complement(g)
     parts = []
-    for comp in components(co):
-        size = comp.bit_count()
-        if size > 1 and edge_count(induced(co, comp)) != size * (size - 1) // 2:
+    for comp in components(complement(g).adj):
+        if any(g.adj[v] & comp for v in iter_bits(comp)):
             return None
-        parts.append(size)
+        parts.append(comp.bit_count())
     return sorted(parts)
 
 
@@ -228,7 +228,7 @@ def is_one_sum_of_triangles(g: Graph) -> bool:
     """
     if g.n % 2 == 0 or 2 * edge_count(g) != 3 * (g.n - 1):
         return False
-    blks = blocks(g)
+    blks = blocks(g.adj)
     if not blks or not is_connected(g):
         return False
     # A biconnected block on 3 vertices is a triangle.
@@ -245,7 +245,7 @@ def is_k4_plus_triangles(g: Graph) -> bool:
     if not is_connected(g):
         return False
     k4 = 0
-    for vmask in blocks(g):
+    for vmask in blocks(g.adj):
         size = vmask.bit_count()
         if size == 4:
             if sum((g.adj[u] & vmask).bit_count() for u in iter_bits(vmask)) != 12:

@@ -115,20 +115,16 @@ def reach(adj: tuple[Mask, ...] | list[Mask], start: Mask, allowed: Mask) -> Mas
     return seen
 
 
-def components(g: Graph) -> list[Mask]:
-    """Connected components as bitmasks, ordered by smallest member."""
+def components(adj: tuple[Mask, ...] | list[Mask], s: Mask | None = None) -> list[Mask]:
+    """Components of the rows adj induced on s (default: every vertex) as
+    bitmasks, ordered by smallest member."""
     out = []
-    remaining = full_mask(g.n)
+    remaining = full_mask(len(adj)) if s is None else s
     while remaining:
-        seed = remaining & -remaining
-        comp = reach(g.adj, seed, remaining)
+        comp = reach(adj, remaining & -remaining, remaining)
         out.append(comp)
-        remaining &= ~comp
+        remaining ^= comp
     return out
-
-
-def component_count(g: Graph) -> int:
-    return len(components(g))
 
 
 def is_connected(g: Graph) -> bool:
@@ -242,20 +238,9 @@ def contract_vertex(g: Graph, v: int) -> Graph:
     if g.n < 2:
         raise GraphError("cannot contract the last vertex")
     _check_vertex(g, v)
-    keep = list(iter_bits(full_mask(g.n) ^ bit(v)))
-    index = {w: k for k, w in enumerate(keep)}
-    rows = [0] * len(keep)
-    for i, j in edges(g):
-        if i != v and j != v:
-            a, b = index[i], index[j]
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    nbrs = [index[w] for w in iter_bits(g.adj[v])]
-    for a in nbrs:
-        for b in nbrs:
-            if a != b:
-                rows[a] |= 1 << b
-    return Graph(len(keep), tuple(rows))
+    nbrs = g.adj[v]
+    rows = [row | nbrs & ~bit(w) if nbrs >> w & 1 else row for w, row in enumerate(g.adj)]
+    return Graph(g.n - 1, induced_rows(rows, full_mask(g.n) ^ bit(v)))
 
 
 def delete_edge(g: Graph, i: int, j: int) -> Graph:
@@ -321,13 +306,13 @@ def is_dominating_set(g: Graph, s: Mask) -> bool:
     return cover == full_mask(g.n)
 
 
-def blocks(g: Graph) -> list[Mask]:
-    """Vertex masks of the biconnected components; bridges count.
+def blocks(adj: tuple[Mask, ...] | list[Mask]) -> list[Mask]:
+    """Vertex masks of the biconnected components of the rows adj; bridges count.
 
     Isolated vertices belong to no block.
     """
-    disc = [0] * g.n
-    low = [0] * g.n
+    disc = [0] * len(adj)
+    low = [0] * len(adj)
     timer = 1
     stack: list[Edge] = []
     out: list[Mask] = []
@@ -341,14 +326,14 @@ def blocks(g: Graph) -> list[Mask]:
                 break
         out.append(vmask)
 
-    for root in range(g.n):
+    for root in range(len(adj)):
         if disc[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
         # Explicit DFS frames [vertex, its parent, neighbours not yet tried],
         # so long paths and trees do not hit the recursion limit.
-        frames = [[root, -1, g.adj[root]]]
+        frames = [[root, -1, adj[root]]]
         while frames:
             frame = frames[-1]
             u, parent, todo = frame
@@ -360,7 +345,7 @@ def blocks(g: Graph) -> list[Mask]:
                     stack.append((u, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    frames.append([w, u, g.adj[w]])
+                    frames.append([w, u, adj[w]])
                 elif w != parent and disc[w] < disc[u]:
                     stack.append((u, w))
                     low[u] = min(low[u], disc[w])

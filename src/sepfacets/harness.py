@@ -50,9 +50,9 @@ from .graphs import (
     GraphError,
     bipartition,
     closed_neighborhood,
-    component_count,
     complete_bipartite,
     complete_multipartite,
+    components,
     delete_edge,
     edges,
     full_mask,
@@ -410,11 +410,14 @@ def _suspension_bounds(base: Graph) -> Iterator[tuple[str, int]]:
 def _join_bounds(pair: tuple[Graph, Graph]) -> Iterator[tuple[str, int]]:
     g1, g2 = pair
     count = cached_count_facets(join(g1, g2))
+    c1, c2 = len(components(g1.adj)), len(components(g2.adj))
     cap = join_upper_bound(
         cached_count_facets(suspension(g1)), cached_count_facets(suspension(g2)),
-        g1.n, g2.n, component_count(g1), component_count(g2))
+        g1.n, g2.n, c1, c2)
     if count > cap:
         yield "join_upper_bound", count
+    if cap - count != 2 ** (c1 + c2) - 2 ** c1 - 2 ** c2 + 4:
+        yield "join_upper_bound_gap", count
     n = g1.n + g2.n
     if n >= 3:
         bounds = conjecture_bounds(n)

@@ -16,6 +16,7 @@ from sepfacets.facets import (
     mu_of,
     subgraph_component_value,
 )
+from sepfacets.formulas import conjecture_bounds
 from sepfacets.graphs import (
     Graph,
     GraphError,
@@ -359,3 +360,40 @@ def test_scan_refuses_large_blocks():
 def test_count_long_path_beyond_recursion_limit(monkeypatch):
     monkeypatch.setenv("SEP_MAX_N", "1200")
     assert count_facets(path_graph(1200)) == 2**1199
+
+
+def alternating_threshold(n):
+    """T_n: vertex k arrives dominating when k is odd and isolated when even."""
+    return from_edges(n, [(i, k) for k in range(1, n, 2) for i in range(k)])
+
+
+def test_deep_cotrees_match_cut_sum():
+    # T_n alternates joins and disjoint unions, so its cotree is n levels
+    # deep; the whole-graph cut sum never splits it
+    for n in range(2, 15, 2):
+        g = alternating_threshold(n)
+        assert count_facets(g) == sum(h.mu for h in enumerate_facet_subgraphs(g))
+
+
+def test_deep_cotrees_count_without_scans():
+    # no part of T_64 is scanned, so it counts under the 32-vertex refusal
+    bounds = conjecture_bounds(64)
+    assert bounds.lower <= count_facets(alternating_threshold(64)) <= bounds.upper
+
+
+def test_deep_cotrees_beyond_recursion_limit(monkeypatch):
+    monkeypatch.setenv("SEP_MAX_N", "1200")
+    assert count_facets(complete_graph(1100)) == 2**1100 - 2
+    # T_1200 is a join, so the paper's theorem puts it inside the bracket
+    bounds = conjecture_bounds(1200)
+    assert bounds.lower <= count_facets(alternating_threshold(1200)) <= bounds.upper
+
+
+def test_cones_skip_blocks(monkeypatch):
+    calls = []
+    split = facets.blocks
+    monkeypatch.setattr(facets, "blocks", lambda adj: calls.append(len(adj)) or split(adj))
+    wheel = join(complete_graph(1), cycle_graph(5))
+    assert count_facets(wheel) == sum(h.mu for h in enumerate_facet_subgraphs(wheel))
+    assert count_facets(star_graph(6)) == 32
+    assert calls == []

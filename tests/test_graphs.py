@@ -71,10 +71,12 @@ def test_from_edges_rejects_bad_input():
 
 def test_components_examples():
     assert is_connected(K3)
-    assert len(components(K3)) == 1
-    assert len(components(empty_graph(3))) == 3
+    assert len(components(K3.adj)) == 1
+    assert len(components(empty_graph(3).adj)) == 3
     two = from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
-    assert len(components(two)) == 2
+    assert len(components(two.adj)) == 2
+    assert components(two.adj, 0b10101) == [0b00001, 0b10100]
+    assert components(two.adj, 0b00011) == [0b00011]
     assert not is_connected(two)
 
 
@@ -134,6 +136,18 @@ def test_vertex_removals_on_hub_and_rim_graph():
     assert ref_is_isomorphic(contract_vertex(g, 0), wheel)
 
 
+@given(graph_strategy(min_n=2, max_n=7), st.data())
+def test_contract_vertex_keeps_labels(g, data):
+    # later vertices shift down by one; the former neighbours of v gain a clique
+    v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    label = {w: w - (w > v) for w in range(g.n) if w != v}
+    nbrs = [label[w] for i, w in edges(g) if i == v] + \
+        [label[i] for i, w in edges(g) if w == v]
+    expected = {(label[i], label[j]) for i, j in edges(g) if v not in (i, j)}
+    expected |= {(a, b) for a in nbrs for b in nbrs if a < b}
+    assert edges(contract_vertex(g, v)) == sorted(expected)
+
+
 def test_suspension():
     assert ref_is_isomorphic(suspension(empty_graph(3)), star_graph(4))
     assert ref_is_isomorphic(suspension(complete_graph(2)), K3)
@@ -183,8 +197,8 @@ def test_dominating_sets():
 
 def test_blocks_bowtie():
     bowtie = one_sum(K3, 0, K3, 0)
-    assert sorted(blocks(bowtie)) == [0b00111, 0b11001]
-    assert sorted(blocks(path_graph(4))) == [0b0011, 0b0110, 0b1100]
+    assert sorted(blocks(bowtie.adj)) == [0b00111, 0b11001]
+    assert sorted(blocks(path_graph(4).adj)) == [0b0011, 0b0110, 0b1100]
 
 
 @given(graph_strategy(max_n=7))
@@ -199,7 +213,7 @@ def test_invariants_after_construction(g):
 
 @given(graph_strategy(max_n=7))
 def test_components_partition(g):
-    comps = components(g)
+    comps = components(g.adj)
     assert sum(c.bit_count() for c in comps) == g.n
     union = 0
     for c in comps:

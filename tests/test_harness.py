@@ -233,10 +233,12 @@ SUITE_CHECKS = [
     ("double_suspension", 2, 17),
 ]
 
-# verify_identities(4) with every cached count raised by 2: 60 violations
-# over 10 bounds, and the sha256 of their "tag bound value" lines joined by
+# verify_identities(4) with every cached count raised by 2: 77 violations
+# over 11 bounds, and the sha256 of their "tag bound value" lines joined by
 # newlines. The counts were recorded before the suites became rows of one
-# table; the digest since each tag names the whole case.
+# table; the digest since each tag names the whole case. The 17
+# join_upper_bound_gap lines came with that exact check; without them the
+# list is the earlier 60 lines, digest eb97c5ad...584f10.
 PERTURBED_BOUNDS = {
     "q_bound": 3,
     "bipartite_minimum_equality": 3,
@@ -247,9 +249,10 @@ PERTURBED_BOUNDS = {
     "suspension_upper_equality": 5,
     "suspension_upper": 2,
     "join_conjecture_bound": 5,
+    "join_upper_bound_gap": 17,
     "suspension_recursion": 14,
 }
-PERTURBED_DIGEST = "eb97c5ad1bc239fcb2af0cf86abfff8312d37c11e9efb057fb6615fa40584f10"
+PERTURBED_DIGEST = "25c89465709dd336cf828839c1f20908aec2d918e1c452b18652fc178eb761ef"
 
 
 def test_identity_sweep_shares_the_generator_cap(monkeypatch):
@@ -275,12 +278,12 @@ def test_identities_report_every_failed_check(monkeypatch, capsys):
                         lambda g: count_facets(g) + 2)
     report = verify_identities(4)
     lines = [f"{v.graph6} {v.bound} {v.value}" for v in report.violations]
-    assert report.graphs_checked == 108 and len(lines) == 60
+    assert report.graphs_checked == 108 and len(lines) == 77
     assert Counter(v.bound for v in report.violations) == PERTURBED_BOUNDS
     assert len(set(lines)) == len(lines)
     assert "A_|A_:0,1 one_sum_product 6" in lines
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PERTURBED_DIGEST
     assert main(["verify", "--n", "4", "--identities"]) == 2
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "identities n_max=4 checks=108 violations=60"
+    assert out[0] == "identities n_max=4 checks=108 violations=77"
     assert out[1:] == [f"violation {line}" for line in lines]
