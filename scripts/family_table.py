@@ -16,7 +16,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sepfacets.facets import count_facets
-from sepfacets.formulas import conjecture_bounds, n_complete_bipartite
+from sepfacets.formulas import (
+    K4_PLUS_TRIANGLES,
+    ONE_SUM_OF_TRIANGLES,
+    classify_extremal,
+    conjecture_bounds,
+    is_conjectured_maximizer,
+    n_complete_bipartite,
+)
 from sepfacets.graphs import (
     complete_bipartite,
     complete_graph,
@@ -52,6 +59,10 @@ def main() -> int:
         bounds = conjecture_bounds(n)
         balanced = n_complete_bipartite(n // 2, (n + 1) // 2)
         assert balanced == count_facets(complete_bipartite(n // 2, (n + 1) // 2))
+        top = max_family(n)
+        assert is_conjectured_maximizer(top)
+        tag = ONE_SUM_OF_TRIANGLES if n % 2 else K4_PLUS_TRIANGLES
+        assert classify_extremal(top) == tag
         row = [
             f"{n:>2}",
             f"{bounds.lower:>6}",
@@ -60,7 +71,7 @@ def main() -> int:
             f"{count_facets(path_graph(n)):>6}",
             f"{count_facets(cycle_graph(n)):>6}",
             f"{count_facets(complete_graph(n)):>6}",
-            f"{count_facets(max_family(n)):>8}",
+            f"{count_facets(top):>8}",
             f"{bounds.upper:>8}",
         ]
         print(" ".join(row))

@@ -51,7 +51,7 @@ from .graphs import (
     bipartition,
     bit,
     blocks,
-    complement,
+    complement_rows,
     components,
     contract_edges,
     edges,
@@ -367,7 +367,7 @@ def count_facets(g: Graph) -> int:
 def _count_rows(adj: tuple[Mask, ...], block: bool = False) -> int:
     """count_facets on the rows adj; block says adj is already one block."""
     full = full_mask(len(adj))
-    co = tuple(full ^ row ^ (1 << v) for v, row in enumerate(adj))
+    co = complement_rows(adj)
     side = reach(co, 1, full)
     if side != full:
         return _count_join(adj, co, side)
@@ -443,7 +443,7 @@ def count_suspension_via_domination(g: Graph) -> int:
     * otherwise the dominating sets of g[s] are scanned, with cover
       N(S) | S and components by flood on the neighbourhood-union tables.
     """
-    return _suspension_count(g.adj, complement(g).adj, full_mask(g.n))
+    return _suspension_count(g.adj, complement_rows(g.adj), full_mask(g.n))
 
 
 def _suspension_count(adj: tuple[Mask, ...], co: tuple[Mask, ...], s: Mask) -> int:

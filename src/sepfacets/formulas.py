@@ -6,6 +6,11 @@ the conjectured min/max for connected graphs on n vertices, split by parity:
     odd n:   3 * 2^((n-1)/2) - 2  <=  N  <=  6^((n-1)/2)
     even n:  2^(n/2 + 1) - 2      <=  N  <=  14 * 6^(n/2 - 2)
 
+Each side of the bracket has one equality test: is_balanced_complete_bipartite
+(the minimizer K_{n//2,(n+1)//2}; is_star is the same test at K_{1,n-1}) and
+is_conjectured_maximizer (1-sums of triangles, or of one K4 with triangles,
+by edge count and block sizes; the edge count forces connectivity and K4).
+
 The recursion checks exercise the suspension identities: removing,
 contracting, or clearing the closed neighborhood of a base vertex bounds
 (or, for a dominating vertex, determines) the suspension's facet count.
@@ -19,10 +24,9 @@ from typing import Callable
 from .graphs import (
     Graph,
     GraphError,
-    bipartition,
     blocks,
     closed_neighborhood,
-    complement,
+    complement_rows,
     components,
     contract_vertex,
     delete_closed_neighborhood,
@@ -105,16 +109,6 @@ def conjecture_bounds(n: int) -> BoundPair:
     return BoundPair(2 ** (k + 1) - 2, 14 * 6 ** (k - 2), "even", n)
 
 
-def bipartite_minimum(n: int) -> int:
-    """Smallest facet count among connected bipartite graphs on n vertices,
-    attained exactly by the balanced complete bipartite graph."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    if n % 2 == 1:
-        return 3 * 2 ** ((n - 1) // 2) - 2
-    return 2 ** (n // 2 + 1) - 2
-
-
 def join_upper_bound(
     nhat1: int, nhat2: int, n1: int, n2: int, m1: int, m2: int
 ) -> int:
@@ -178,12 +172,10 @@ def complete_multipartite_parts(g: Graph) -> list[int] | None:
     disjoint union of cliques, that is when each complement component is
     independent in g; the parts are those components.
     """
-    parts = []
-    for comp in components(complement(g).adj):
-        if any(g.adj[v] & comp for v in iter_bits(comp)):
-            return None
-        parts.append(comp.bit_count())
-    return sorted(parts)
+    parts = components(complement_rows(g.adj))
+    if any(g.adj[v] & comp for comp in parts for v in iter_bits(comp)):
+        return None
+    return sorted(comp.bit_count() for comp in parts)
 
 
 def n_from_multipartite_parts(parts: list[int]) -> int:
@@ -196,64 +188,39 @@ def n_from_multipartite_parts(parts: list[int]) -> int:
 
 
 def is_star(g: Graph) -> bool:
-    """One center adjacent to all others, no other edges."""
-    if g.n < 2:
-        return False
-    if edge_count(g) != g.n - 1:
-        return False
-    return any(g.adj[v].bit_count() == g.n - 1 for v in range(g.n))
+    """g is the star K_{1,n-1}."""
+    return _is_complete_bipartite(g, 1)
 
 
 def is_balanced_complete_bipartite(g: Graph) -> bool:
-    if g.n < 2:
-        return False
-    parts = bipartition(g)
-    if parts is None:
-        return False
-    a, b = parts
-    sizes = sorted((a.bit_count(), b.bit_count()))
-    if sizes != [g.n // 2, (g.n + 1) // 2]:
-        return False
-    for v in range(g.n):
-        other = b if a >> v & 1 else a
-        if g.adj[v] != other:
-            return False
-    return True
+    """g is K_{a,n-a} with a = n // 2, the minimizer of the bracket."""
+    return _is_complete_bipartite(g, g.n // 2)
 
 
-def is_one_sum_of_triangles(g: Graph) -> bool:
-    """Every block is a triangle (and there is at least one).
+def _is_complete_bipartite(g: Graph, a: int) -> bool:
+    """g is K_{a,n-a}: a(n - a) edges first, then the parts [a, n - a]."""
+    return (edge_count(g) == a * (g.n - a)
+            and complete_multipartite_parts(g) == sorted((a, g.n - a)))
 
-    Such a graph has n odd and 3(n - 1)/2 edges, checked before blocks().
+
+def is_conjectured_maximizer(g: Graph) -> bool:
+    """g is a 1-sum of triangles (odd n) or of one K4 with triangles (even
+    n) on n >= 3 vertices, the conjectured maximizers.
+
+    The test is 2m = 3n - 3 (odd n) or 2m = 3n (even n) on the m edges,
+    then sorted block sizes all 3, plus one 4 when n is even; the edge
+    count forces connectivity and the K4. With k components (isolated
+    vertices included), t triangle blocks and e in {0, 1} blocks on 4
+    vertices (at most 6 edges each), n = k + 2t + 3e and m <= 3t + 6e.
+    Odd n (e = 0): 6t = 2m = 3n - 3 = 3k + 6t - 3 gives k = 1.
+    Even n (e = 1): 3k + 6t + 9 = 3n = 2m <= 6t + 12 gives k = 1 and
+    m = 3t + 6, so the 4-vertex block is K4, not C4 or K4 - e.
     """
-    if g.n % 2 == 0 or 2 * edge_count(g) != 3 * (g.n - 1):
+    if g.n < 3 or 2 * edge_count(g) != 3 * g.n - 3 * (g.n % 2):
         return False
-    blks = blocks(g.adj)
-    if not blks or not is_connected(g):
-        return False
-    # A biconnected block on 3 vertices is a triangle.
-    return all(vmask.bit_count() == 3 for vmask in blks)
-
-
-def is_k4_plus_triangles(g: Graph) -> bool:
-    """Exactly one K4 block, every other block a triangle.
-
-    Such a graph has n even, n >= 4 and 3n/2 edges, checked before blocks().
-    """
-    if g.n % 2 or g.n < 4 or 2 * edge_count(g) != 3 * g.n:
-        return False
-    if not is_connected(g):
-        return False
-    k4 = 0
-    for vmask in blocks(g.adj):
-        size = vmask.bit_count()
-        if size == 4:
-            if sum((g.adj[u] & vmask).bit_count() for u in iter_bits(vmask)) != 12:
-                return False
-            k4 += 1
-        elif size != 3:
-            return False
-    return k4 == 1
+    even = 1 - g.n % 2
+    sizes = sorted(vmask.bit_count() for vmask in blocks(g.adj))
+    return sizes == [3] * (len(sizes) - even) + [4] * even
 
 
 def classify_extremal(g: Graph) -> str:
@@ -269,8 +236,6 @@ def classify_extremal(g: Graph) -> str:
         return STAR
     if is_balanced_complete_bipartite(g):
         return BALANCED_COMPLETE_BIPARTITE
-    if is_one_sum_of_triangles(g):
-        return ONE_SUM_OF_TRIANGLES
-    if is_k4_plus_triangles(g):
-        return K4_PLUS_TRIANGLES
+    if is_conjectured_maximizer(g):
+        return ONE_SUM_OF_TRIANGLES if g.n % 2 else K4_PLUS_TRIANGLES
     return NO_CLASS

@@ -252,10 +252,13 @@ def delete_edge(g: Graph, i: int, j: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def complement_rows(adj: tuple[Mask, ...] | list[Mask]) -> tuple[Mask, ...]:
+    full = full_mask(len(adj))
+    return tuple(full ^ row ^ (1 << v) for v, row in enumerate(adj))
+
+
 def complement(g: Graph) -> Graph:
-    full = full_mask(g.n)
-    rows = tuple((full ^ g.adj[v]) & ~bit(v) for v in range(g.n))
-    return Graph(g.n, rows)
+    return Graph(g.n, complement_rows(g.adj))
 
 
 def suspension(g: Graph) -> Graph:

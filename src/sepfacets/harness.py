@@ -21,7 +21,6 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from . import formulas
 from .canon import generate_all, generate_connected
 from .facets import (
     count_facets,
@@ -37,8 +36,7 @@ from .formulas import (
     conjecture_bounds,
     double_suspension_check,
     is_balanced_complete_bipartite,
-    is_k4_plus_triangles,
-    is_one_sum_of_triangles,
+    is_conjectured_maximizer,
     is_star,
     join_upper_bound,
     n_complete_bipartite,
@@ -359,7 +357,7 @@ def _bipartite_monotonicity(g: Graph, smaller: Graph) -> Iterator[tuple[str, int
 
 
 def _bipartite_minimum(g: Graph) -> Iterator[tuple[str, int]]:
-    floor = formulas.bipartite_minimum(g.n)
+    floor = n_complete_bipartite(g.n // 2, (g.n + 1) // 2)
     count = cached_count_facets(g)
     if count < floor:
         yield "bipartite_minimum", count
@@ -402,8 +400,7 @@ def _suspension_bounds(base: Graph) -> Iterator[tuple[str, int]]:
         upper = conjecture_bounds(n).upper
         if count > upper:
             yield "suspension_upper", count
-        at_max = is_one_sum_of_triangles(hat) if n % 2 else is_k4_plus_triangles(hat)
-        if (count == upper) != at_max:
+        if (count == upper) != is_conjectured_maximizer(hat):
             yield "suspension_upper_equality", count
 
 

@@ -3,7 +3,9 @@
 The reference routines here deliberately avoid the package's bitmask and
 spanning-tree machinery: facet counting enumerates raw integer labelings,
 connectivity uses union-find on edge lists, coloring uses DFS. They are the
-oracles the fast paths are checked against.
+oracles the fast paths are checked against. The extremal-family references
+spell out each definition (connectivity, every block, a 2-coloring) where
+the package's recognizers rely on edge counts.
 """
 
 import itertools
@@ -12,7 +14,16 @@ import hypothesis
 import hypothesis.strategies as st
 from hypothesis import assume
 
-from sepfacets.graphs import Graph, edges, from_edges, is_connected
+from sepfacets.graphs import (
+    Graph,
+    bipartition,
+    blocks,
+    edges,
+    from_edges,
+    has_edge,
+    is_connected,
+    iter_bits,
+)
 
 hypothesis.settings.register_profile("fast", max_examples=15)
 hypothesis.settings.register_profile("thorough", max_examples=500)
@@ -117,6 +128,53 @@ def ref_two_coloring(n, edge_list):
                 elif color[w] == color[u]:
                     return None
     return color
+
+
+def ref_complete_multipartite_parts(g: Graph):
+    """Part sizes (ascending) if g is complete multipartite, else None: the
+    parts are the components of the complement edge list, each independent."""
+    co_edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                if not has_edge(g, i, j)]
+    parts = ref_components(g.n, co_edges)
+    if any(has_edge(g, i, j) for p in parts for i in p for j in p):
+        return None
+    return sorted(len(p) for p in parts)
+
+
+def ref_is_complete_bipartite(g: Graph, a: int) -> bool:
+    """g is K_{a,n-a}: a proper 2-coloring with parts of sizes a and n - a
+    in which every vertex is adjacent to the whole other part."""
+    if g.n < 2:
+        return False
+    parts = bipartition(g)
+    if parts is None:
+        return False
+    p0, p1 = parts
+    if sorted((p0.bit_count(), p1.bit_count())) != sorted((a, g.n - a)):
+        return False
+    return all(g.adj[v] == (p1 if p0 >> v & 1 else p0) for v in range(g.n))
+
+
+def ref_is_one_sum_of_triangles(g: Graph) -> bool:
+    """Connected, with at least one block and every block a triangle."""
+    blks = blocks(g.adj)
+    return (len(ref_components(g.n, edges(g))) == 1 and bool(blks)
+            and all(b.bit_count() == 3 for b in blks))
+
+
+def ref_is_k4_plus_triangles(g: Graph) -> bool:
+    """Connected, with exactly one block on 4 vertices, that block has 6
+    edges, and every other block is a triangle."""
+    if len(ref_components(g.n, edges(g))) != 1:
+        return False
+    big = [b for b in blocks(g.adj) if b.bit_count() != 3]
+    return (len(big) == 1 and big[0].bit_count() == 4
+            and sum((g.adj[u] & big[0]).bit_count() for u in iter_bits(big[0])) == 12)
+
+
+def ref_is_conjectured_maximizer(g: Graph) -> bool:
+    """The maximizer family of matching parity, by the explicit definitions."""
+    return ref_is_one_sum_of_triangles(g) if g.n % 2 else ref_is_k4_plus_triangles(g)
 
 
 def ref_is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -15,11 +15,7 @@ from sepfacets.facets import (
     enumerate_facets_oracle,
 )
 from sepfacets.formats import emit_graph6, parse_graph6
-from sepfacets.formulas import (
-    conjecture_bounds,
-    is_k4_plus_triangles,
-    is_one_sum_of_triangles,
-)
+from sepfacets.formulas import conjecture_bounds, is_conjectured_maximizer
 from sepfacets.graphs import (
     Graph,
     complete_bipartite,
@@ -115,8 +111,8 @@ def test_criterion_4_conjecture_sweep():
         max_hits = {canonical_form(parse_graph6(r.graph6))
                     for r in rows if r.facet_count == bounds.upper}
         expected_min = {canonical_form(complete_bipartite(n // 2, (n + 1) // 2))}
-        member = is_one_sum_of_triangles if n % 2 else is_k4_plus_triangles
-        expected_max = {canonical_form(g) for g in generate_connected(n) if member(g)}
+        expected_max = {canonical_form(g) for g in generate_connected(n)
+                        if is_conjectured_maximizer(g)}
         if min_hits != expected_min:
             failures.append(f"n={n}: minima not exactly balanced bipartite")
         if max_hits != expected_max or not expected_max:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from sepfacets.canon import generate_all
 from sepfacets.facets import count_facets
 from sepfacets.formulas import (
     BALANCED_COMPLETE_BIPARTITE,
@@ -7,14 +10,12 @@ from sepfacets.formulas import (
     NO_CLASS,
     ONE_SUM_OF_TRIANGLES,
     STAR,
-    bipartite_minimum,
     classify_extremal,
     complete_multipartite_parts,
     conjecture_bounds,
     double_suspension_check,
     is_balanced_complete_bipartite,
-    is_k4_plus_triangles,
-    is_one_sum_of_triangles,
+    is_conjectured_maximizer,
     is_star,
     join_upper_bound,
     n_complete_bipartite,
@@ -28,13 +29,24 @@ from sepfacets.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    delete_edge,
+    edges,
+    from_edges,
+    is_connected,
     join,
     one_sum,
     path_graph,
     star_graph,
 )
 
-from conftest import empty_graph, n_one_sum
+from conftest import (
+    empty_graph,
+    n_one_sum,
+    ref_complete_multipartite_parts,
+    ref_is_complete_bipartite,
+    ref_is_conjectured_maximizer,
+    relabel,
+)
 
 BOWTIE = one_sum(complete_graph(3), 0, complete_graph(3), 0)
 K4_K3 = one_sum(complete_graph(4), 0, complete_graph(3), 0)
@@ -83,13 +95,11 @@ def test_conjecture_bounds_values():
         conjecture_bounds(2)
 
 
-def test_bipartite_minimum_values():
-    assert bipartite_minimum(2) == 2
-    assert bipartite_minimum(5) == 10
-    assert bipartite_minimum(6) == 14
-    for n in range(2, 8):
-        assert bipartite_minimum(n) == count_facets(
-            complete_bipartite(n // 2, (n + 1) // 2))
+def test_balanced_bipartite_closed_form_is_the_lower_bound():
+    # the bracket's lower bound is the closed form of its minimizer
+    assert n_complete_bipartite(1, 1) == 2
+    for n in range(3, 41):
+        assert n_complete_bipartite(n // 2, (n + 1) // 2) == conjecture_bounds(n).lower
 
 
 def test_recursion_equality_branch_triangle():
@@ -153,13 +163,82 @@ def test_classify_extremal_examples():
 
 def test_extremal_predicates():
     triple = one_sum(BOWTIE, 0, complete_graph(3), 0)
-    assert is_one_sum_of_triangles(triple)
-    assert not is_one_sum_of_triangles(K4_K3)
-    assert is_k4_plus_triangles(one_sum(K4_K3, 0, complete_graph(3), 1))
-    assert not is_k4_plus_triangles(one_sum(complete_graph(4), 0,
-                                            complete_graph(4), 0))
+    assert is_conjectured_maximizer(triple)
+    assert is_conjectured_maximizer(K4_K3)
+    assert is_conjectured_maximizer(one_sum(K4_K3, 0, complete_graph(3), 1))
+    assert not is_conjectured_maximizer(one_sum(complete_graph(4), 0,
+                                                complete_graph(4), 0))
+    assert not is_conjectured_maximizer(one_sum(BOWTIE, 0, complete_graph(2), 0))
     assert not is_star(cycle_graph(4))
     assert not is_balanced_complete_bipartite(complete_bipartite(1, 3))
+
+
+def _cactus(rng, n_max):
+    """A seeded 1-sum of triangles on K3 or K4, n_max vertices at most,
+    relabeled at random."""
+    g = complete_graph(rng.choice((3, 4)))
+    while g.n + 2 <= n_max and rng.random() < 0.9:
+        g = one_sum(g, rng.randrange(g.n), complete_graph(3), rng.randrange(3))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _perturbed(rng, g):
+    """g unchanged, with an edge added or removed, or with an isolated vertex
+    appended."""
+    kind = rng.randrange(4)
+    missing = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+               if not g.adj[i] >> j & 1]
+    if kind == 1 and missing:
+        return from_edges(g.n, edges(g) + [rng.choice(missing)])
+    if kind == 2:
+        return delete_edge(g, *rng.choice(edges(g)))
+    if kind == 3:
+        return Graph(g.n + 1, g.adj + (0,))
+    return g
+
+
+def _triangles_on(base, count):
+    for _ in range(count):
+        base = one_sum(base, base.n - 1, complete_graph(3), 0)
+    return base
+
+
+def test_recognizers_match_explicit_definitions():
+    k4_minus_e = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    special = [
+        Graph(1, (0,)),
+        # disconnected K4 + 2K3 on 10 vertices: the block sizes of a
+        # maximizer, but 12 edges, not 15
+        from_edges(10, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+                   + [(4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9)]),
+        _triangles_on(cycle_graph(4), 3),
+        _triangles_on(k4_minus_e, 3),
+        _triangles_on(complete_graph(4), 3),
+        _triangles_on(complete_graph(3), 3),
+    ]
+    rng = random.Random(20231218)
+    cacti = [_perturbed(rng, _cactus(rng, 30)) for _ in range(1500)]
+    graphs = [g for n in range(1, 8) for g in generate_all(n)] + special + cacti
+    assert max(g.n for g in graphs) == 31
+    maxima = 0
+    for g in graphs:
+        star = ref_is_complete_bipartite(g, 1)
+        balanced = ref_is_complete_bipartite(g, g.n // 2)
+        maximizer = ref_is_conjectured_maximizer(g)
+        assert complete_multipartite_parts(g) == ref_complete_multipartite_parts(g)
+        assert is_star(g) == star
+        assert is_balanced_complete_bipartite(g) == balanced
+        assert is_conjectured_maximizer(g) == maximizer
+        maxima += maximizer
+        if is_connected(g):
+            expected = (STAR if star else BALANCED_COMPLETE_BIPARTITE if balanced
+                        else (ONE_SUM_OF_TRIANGLES if g.n % 2 else K4_PLUS_TRIANGLES)
+                        if maximizer else NO_CLASS)
+            assert classify_extremal(g) == expected
+    # both outcomes of the maximizer test are exercised on many cacti
+    assert 300 < maxima < len(graphs) - 300
 
 
 def test_complete_multipartite_parts_detection():
