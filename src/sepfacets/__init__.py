@@ -2,7 +2,6 @@
 
 from .canon import canonical_form, generate_all, generate_connected
 from .facets import (
-    FacetFunction,
     FacetSubgraph,
     count_bipartite_strict,
     count_facets,
@@ -14,7 +13,6 @@ from .facets import (
 )
 from .formats import (
     FormatError,
-    emit_edge_list,
     emit_edge_spec,
     emit_graph6,
     parse_edge_list,
@@ -35,7 +33,6 @@ from .graphs import (
     Graph,
     GraphError,
     bipartition,
-    complement,
     components,
     contract_edges,
     contract_vertex,
@@ -44,7 +41,6 @@ from .graphs import (
     from_edges,
     induced,
     is_connected,
-    is_dominating_set,
     join,
     one_sum,
     suspension,
@@ -52,7 +48,6 @@ from .graphs import (
 from .harness import (
     VerificationReport,
     sweep_conjecture,
-    verify_conjecture,
     verify_identities,
 )
 

@@ -149,8 +149,8 @@ def _mask_csv(mask: int) -> str:
 
 def _facets(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    for f in enumerate_facets_oracle(g):
-        print(" ".join(str(x) for x in f.values))
+    for values in enumerate_facets_oracle(g):
+        print(" ".join(map(str, values)))
     if args.subgraphs:
         subgraphs = enumerate_facet_subgraphs(g)
         print(f"subgraphs {len(subgraphs)}")

@@ -27,10 +27,10 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph from the dominating sets S of the base, each giving 2^(number of
-  components induced on S). It walks vertex sets of the base: a
-  disconnected set is the product of its components' counts, a set whose
-  complement splits is counted from its parts in closed form, and any
-  other set is scanned.
+  components induced on S). It walks vertex sets of the base, each given
+  with its components, so each is flooded once: a disconnected set is the
+  product of its components' counts, a set whose complement splits is
+  counted from its parts in closed form, and any other set is scanned.
 
 Scans over more than MAX_SCAN_VERTICES vertices, and oracle runs over more
 than MAX_ORACLE_VERTICES, are refused with GraphError.
@@ -62,17 +62,6 @@ from .graphs import (
     reach,
 )
 from .limits import MAX_ORACLE_VERTICES, MAX_SCAN_VERTICES
-
-
-@dataclass(frozen=True)
-class FacetFunction:
-    """Normalized facet-defining labeling: values[0] == 0."""
-
-    values: tuple[int, ...]
-
-    def strict_edges(self, g: Graph) -> list[Edge]:
-        """Edges of g where the labels differ (always by exactly 1)."""
-        return [(i, j) for i, j in edges(g) if self.values[i] != self.values[j]]
 
 
 @dataclass(frozen=True)
@@ -129,8 +118,9 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int]) -> Iterato
             yield values
 
 
-def enumerate_facets_oracle(g: Graph) -> list[FacetFunction]:
-    """All facet-defining labelings, sorted by value vector.
+def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
+    """All facet-defining labelings as value tuples with value 0 at vertex
+    0, sorted.
 
     Each spanning-tree edge gets a difference in {-1, 0, +1}; the root value
     is 0, so every labeling satisfying the edge condition appears exactly
@@ -147,7 +137,7 @@ def enumerate_facets_oracle(g: Graph) -> list[FacetFunction]:
     all_edges = edges(g)
     full = full_mask(n)
 
-    found = set()
+    found = []
     for values in _tree_labelings(g, (-1, 0, 1), {0, 1}):
         rows = [0] * n
         for i, j in all_edges:
@@ -155,8 +145,8 @@ def enumerate_facets_oracle(g: Graph) -> list[FacetFunction]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         if reach(rows, 1, full) == full:
-            found.add(tuple(values))
-    return [FacetFunction(v) for v in sorted(found)]
+            found.append(tuple(values))
+    return sorted(found)
 
 
 def _strict_labelings(nbrs: list[Mask]) -> int:
@@ -410,9 +400,10 @@ def _count_join(adj: tuple[Mask, ...], co: tuple[Mask, ...], side: Mask) -> int:
     """
     rest = full_mask(len(adj)) ^ side
     n1, n2 = side.bit_count(), rest.bit_count()
-    c1, c2 = len(components(adj, side)), len(components(adj, rest))
+    parts1, parts2 = components(adj, side), components(adj, rest)
+    c1, c2 = len(parts1), len(parts2)
     return (((1 << n1) - 2) * ((1 << n2) - 2) - ((1 << c1) - 2) * ((1 << c2) - 2)
-            + _suspension_count(adj, co, side) + _suspension_count(adj, co, rest) - 2)
+            + _suspension_count(adj, co, parts1) + _suspension_count(adj, co, parts2) - 2)
 
 
 def count_bipartite_strict(b: Graph) -> int:
@@ -431,7 +422,8 @@ def count_bipartite_strict(b: Graph) -> int:
 
 def count_suspension_via_domination(g: Graph) -> int:
     """Facet count N^(g) of the suspension of g: each dominating set S of g
-    gives 2^c(g[S]). Vertex sets s of g are walked with three rules:
+    gives 2^c(g[S]). Vertex sets s of g, each with the components of g[s],
+    are walked with three rules:
 
     * g[s] disconnected: the suspension of a disjoint union is the 1-sum of
       the suspensions at the apex, so N^ is the product over the components.
@@ -443,30 +435,32 @@ def count_suspension_via_domination(g: Graph) -> int:
     * otherwise the dominating sets of g[s] are scanned, with cover
       N(S) | S and components by flood on the neighbourhood-union tables.
     """
-    return _suspension_count(g.adj, complement_rows(g.adj), full_mask(g.n))
+    return _suspension_count(g.adj, complement_rows(g.adj), components(g.adj))
 
 
-def _suspension_count(adj: tuple[Mask, ...], co: tuple[Mask, ...], s: Mask) -> int:
-    """N^ of adj induced on the nonempty set s; co holds the complement rows.
+def _suspension_count(adj: tuple[Mask, ...], co: tuple[Mask, ...], parts: list[Mask]) -> int:
+    """N^ of adj induced on the union of parts, the components of that
+    nonempty set; co holds the complement rows.
 
     The count so far is scale * N^(s) + shift. Each split keeps its largest
     part as s and recurses into the others, which hold at most half of s.
+    A component is connected, so it goes straight to the complement split,
+    and each set is flooded on adj once: by the caller, or after a
+    complement split.
     """
     scale, shift = 1, 0
     while True:
-        parts = components(adj, s)
-        if len(parts) > 1:
-            s = max(parts, key=int.bit_count)
-            scale *= prod(_suspension_count(adj, co, p) for p in parts if p != s)
-            continue
+        s = max(parts, key=int.bit_count)
+        scale *= prod(_suspension_count(adj, co, [p]) for p in parts if p != s)
         parts = components(co, s)
         if len(parts) == 1:
             rows = induced_rows(adj, s)
             return scale * _component_power_sum(rows, full_mask(len(rows))) + shift
         across = (1 << s.bit_count()) - 1 - sum((1 << p.bit_count()) - 1 for p in parts)
         s = max(parts, key=int.bit_count)
-        shift += scale * (2 * across + sum(_suspension_count(adj, co, p)
+        shift += scale * (2 * across + sum(_suspension_count(adj, co, components(adj, p))
                                            for p in parts if p != s))
+        parts = components(adj, s)
 
 
 def subgraph_component_value(g: Graph) -> int:

@@ -113,12 +113,6 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(str(exc)) from exc
 
 
-def emit_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {edge_count(g)}"]
-    lines += [f"{i} {j}" for i, j in edges(g)]
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_spec(spec: str) -> Graph:
     """One-line form 'n m;i j;i j;...' used by the CLI."""
     fields = [f.strip() for f in spec.strip().split(";")]

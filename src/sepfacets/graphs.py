@@ -257,10 +257,6 @@ def complement_rows(adj: tuple[Mask, ...] | list[Mask]) -> tuple[Mask, ...]:
     return tuple(full ^ row ^ (1 << v) for v, row in enumerate(adj))
 
 
-def complement(g: Graph) -> Graph:
-    return Graph(g.n, complement_rows(g.adj))
-
-
 def suspension(g: Graph) -> Graph:
     """Add one apex vertex (index n) adjacent to every existing vertex."""
     apex = g.n
@@ -297,16 +293,6 @@ def one_sum(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     return Graph(n, tuple(rows))
-
-
-def is_dominating_set(g: Graph, s: Mask) -> bool:
-    """True iff the closed neighborhoods of s cover every vertex."""
-    if s & ~full_mask(g.n):
-        raise GraphError("vertex set has bits outside the graph")
-    cover = 0
-    for v in iter_bits(s):
-        cover |= g.adj[v] | bit(v)
-    return cover == full_mask(g.n)
 
 
 def blocks(adj: tuple[Mask, ...] | list[Mask]) -> list[Mask]:

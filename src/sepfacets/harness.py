@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -47,13 +47,11 @@ from .graphs import (
     Graph,
     GraphError,
     bipartition,
-    closed_neighborhood,
     complete_bipartite,
     complete_multipartite,
     components,
     delete_edge,
     edges,
-    full_mask,
     is_connected,
     join,
     one_sum,
@@ -83,10 +81,6 @@ class VerificationReport:
     extremal_hits: list[ExtremalHit]
     runtime_ms: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -102,7 +96,7 @@ class SweepRow:
 class ConjectureSweep:
     report: VerificationReport
     rows: list[SweepRow]
-    input_errors: list[tuple[str, str]] = field(default_factory=list)
+    input_errors: list[tuple[str, str]]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -172,14 +166,6 @@ def sweep_conjecture(
     runtime_ms = int((time.monotonic() - start) * 1000)
     report = VerificationReport(n, checked, violations, hits, runtime_ms)
     return ConjectureSweep(report, rows, input_errors)
-
-
-def verify_conjecture(
-    n: int,
-    graphs: Iterable[Graph | str] | None = None,
-    jobs: int = 1,
-) -> VerificationReport:
-    return sweep_conjecture(n, graphs, jobs).report
 
 
 # --- identity suites ------------------------------------------------------
@@ -424,8 +410,7 @@ def _join_bounds(pair: tuple[Graph, Graph]) -> Iterator[tuple[str, int]]:
 
 def _suspension_recursion(base: Graph, v: int) -> Iterator[tuple[str, int]]:
     result = suspension_recursion_check(base, v, cached_count_facets)
-    covers = closed_neighborhood(base, v) == full_mask(base.n)
-    if not result.passed or result.equality_branch != covers:
+    if not result.passed:
         yield "suspension_recursion", result.total
 
 

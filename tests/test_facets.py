@@ -21,9 +21,10 @@ from sepfacets.graphs import (
     Graph,
     GraphError,
     bipartition,
-    complement,
+    complement_rows,
     complete_bipartite,
     complete_graph,
+    components,
     contract_edges,
     cycle_graph,
     edges,
@@ -50,7 +51,7 @@ EXAMPLE = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)]
 
 def test_oracle_k2():
     fs = enumerate_facets_oracle(complete_graph(2))
-    assert sorted(f.values for f in fs) == [(0, -1), (0, 1)]
+    assert fs == [(0, -1), (0, 1)]
 
 
 def test_oracle_small_complete():
@@ -60,8 +61,7 @@ def test_oracle_small_complete():
 
 def test_oracle_matches_reference_enumeration():
     for g in (complete_graph(3), complete_graph(4), EXAMPLE, cycle_graph(5)):
-        ours = sorted(f.values for f in enumerate_facets_oracle(g))
-        assert ours == sorted(ref_facet_vectors(g.n, edges(g)))
+        assert enumerate_facets_oracle(g) == sorted(ref_facet_vectors(g.n, edges(g)))
 
 
 def test_oracle_rejects_disconnected():
@@ -185,7 +185,7 @@ def test_routes_agree_with_reference(g):
 @settings(max_examples=40, deadline=None)
 @given(graph_strategy(min_n=2, max_n=5, connected=True))
 def test_central_symmetry(g):
-    vectors = {f.values for f in enumerate_facets_oracle(g)}
+    vectors = set(enumerate_facets_oracle(g))
     assert len(vectors) % 2 == 0
     for v in vectors:
         assert tuple(-x for x in v) in vectors
@@ -194,11 +194,9 @@ def test_central_symmetry(g):
 @settings(max_examples=40, deadline=None)
 @given(graph_strategy(min_n=2, max_n=5, connected=True))
 def test_strict_edges_span_and_connect(g):
-    from conftest import ref_components
-
-    for f in enumerate_facets_oracle(g):
-        strict = f.strict_edges(g)
-        assert all(abs(f.values[i] - f.values[j]) == 1 for i, j in strict)
+    for values in enumerate_facets_oracle(g):
+        strict = [(i, j) for i, j in edges(g) if values[i] != values[j]]
+        assert all(abs(values[i] - values[j]) == 1 for i, j in strict)
         assert {v for e in strict for v in e} == set(range(g.n))
         assert len(ref_components(g.n, strict)) == 1
 
@@ -209,12 +207,12 @@ def test_normalized_labelings_define_distinct_hyperplanes(g):
     # signature: which generating vectors +-(e_i - e_j) lie on the hyperplane
     signatures = set()
     facets = enumerate_facets_oracle(g)
-    for f in facets:
+    for values in facets:
         sig = frozenset(
             (i, j, s)
             for i, j in edges(g)
             for s in (1, -1)
-            if s * (f.values[i] - f.values[j]) == 1
+            if s * (values[i] - values[j]) == 1
         )
         signatures.add(sig)
     assert len(signatures) == len(facets)
@@ -326,7 +324,7 @@ def test_join_identity_on_connected_classes():
     joins = 0
     for n in range(2, 8):
         for g in generate_connected(n):
-            if is_connected(complement(g)):
+            if len(components(complement_rows(g.adj))) == 1:
                 continue
             joins += 1
             assert count_facets(g) == sum(h.mu for h in enumerate_facet_subgraphs(g))
@@ -397,3 +395,20 @@ def test_cones_skip_blocks(monkeypatch):
     assert count_facets(wheel) == sum(h.mu for h in enumerate_facet_subgraphs(wheel))
     assert count_facets(star_graph(6)) == 32
     assert calls == []
+
+
+def test_join_floods_each_set_once(monkeypatch):
+    # _count_join hands each side's components to the domination walk, which
+    # must not flood that side again
+    floods = []
+    flood = facets.components
+    monkeypatch.setattr(facets, "components",
+                        lambda adj, s=None: floods.append((adj, s)) or flood(adj, s))
+    pools = {k: list(generate_all(k)) for k in range(1, 5)}
+    for n1 in pools:
+        for n2 in pools:
+            for g1 in pools[n1]:
+                for g2 in pools[n2]:
+                    floods.clear()
+                    count_facets(join(g1, g2))
+                    assert floods and len(set(floods)) == len(floods)

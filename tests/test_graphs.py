@@ -8,7 +8,7 @@ from sepfacets.graphs import (
     GraphError,
     bipartition,
     blocks,
-    complement,
+    complement_rows,
     complete_bipartite,
     complete_graph,
     components,
@@ -22,7 +22,6 @@ from sepfacets.graphs import (
     full_mask,
     induced,
     is_connected,
-    is_dominating_set,
     join,
     one_sum,
     path_graph,
@@ -187,14 +186,6 @@ def test_constructors_refuse_results_over_the_cap(monkeypatch, build):
     assert build().n == 65
 
 
-def test_dominating_sets():
-    p = path_graph(3)
-    assert is_dominating_set(p, full_mask(3))
-    assert not is_dominating_set(p, 0)
-    assert is_dominating_set(p, 0b010)
-    assert not is_dominating_set(p, 0b001)
-
-
 def test_blocks_bowtie():
     bowtie = one_sum(K3, 0, K3, 0)
     assert sorted(blocks(bowtie.adj)) == [0b00111, 0b11001]
@@ -222,14 +213,6 @@ def test_components_partition(g):
     assert union == full_mask(g.n)
     assert [sorted(i for i in range(g.n) if c >> i & 1) for c in comps] == \
         ref_components(g.n, edges(g))
-
-
-@given(graph_strategy(max_n=6), st.integers(min_value=0, max_value=(1 << 6) - 1))
-def test_dominating_superset_monotone(g, extra):
-    for s in range(1 << g.n):
-        if is_dominating_set(g, s):
-            sup = (s | extra) & full_mask(g.n)
-            assert is_dominating_set(g, sup)
 
 
 @given(graph_strategy(max_n=6, connected=True))
@@ -260,5 +243,6 @@ def test_bipartition_matches_dfs_coloring(g):
 
 @given(graph_strategy(max_n=7))
 def test_complement_involution(g):
-    assert complement(complement(g)) == g
-    assert edge_count(g) + edge_count(complement(g)) == g.n * (g.n - 1) // 2
+    co = Graph(g.n, complement_rows(g.adj))
+    assert complement_rows(co.adj) == g.adj
+    assert edge_count(g) + edge_count(co) == g.n * (g.n - 1) // 2

@@ -20,7 +20,6 @@ from sepfacets.harness import (
     report_to_dict,
     report_to_json,
     sweep_conjecture,
-    verify_conjecture,
     verify_identities,
     write_rows_csv,
 )
@@ -44,7 +43,7 @@ def hits_by_bound(report, bounds):
 def test_sweep_n3():
     from sepfacets.formulas import conjecture_bounds
 
-    report = verify_conjecture(3)
+    report = sweep_conjecture(3).report
     assert report.n == 3 and report.graphs_checked == 2
     assert not report.violations
     lows, highs = hits_by_bound(report, conjecture_bounds(3))
@@ -55,7 +54,7 @@ def test_sweep_n3():
 def test_sweep_n4():
     from sepfacets.formulas import conjecture_bounds
 
-    report = verify_conjecture(4)
+    report = sweep_conjecture(4).report
     assert report.graphs_checked == 6 and not report.violations
     lows, highs = hits_by_bound(report, conjecture_bounds(4))
     assert certs(lows) == {canonical_form(complete_bipartite(2, 2))}
@@ -65,7 +64,7 @@ def test_sweep_n4():
 def test_sweep_n5_extremes():
     from sepfacets.formulas import conjecture_bounds
 
-    report = verify_conjecture(5)
+    report = sweep_conjecture(5).report
     assert report.graphs_checked == 21 and not report.violations
     lows, highs = hits_by_bound(report, conjecture_bounds(5))
     bowtie = one_sum(complete_graph(3), 0, complete_graph(3), 0)
@@ -75,7 +74,7 @@ def test_sweep_n5_extremes():
 
 def test_sweep_accepts_graph6_stream():
     stream = [emit_graph6(g) for g in generate_connected(4)]
-    report = verify_conjecture(4, graphs=stream)
+    report = sweep_conjecture(4, graphs=stream).report
     assert report.graphs_checked == 6 and not report.violations
 
 
@@ -149,7 +148,7 @@ def test_mismatched_size_is_input_error():
 
 
 def test_report_json_fields():
-    report = verify_conjecture(3)
+    report = sweep_conjecture(3).report
     payload = json.loads(report_to_json(report))
     assert sorted(payload) == ["extremal_hits", "graphs_checked", "n",
                                "runtime_ms", "violations"]
