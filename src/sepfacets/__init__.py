@@ -23,11 +23,9 @@ from .formulas import (
     BoundPair,
     classify_extremal,
     conjecture_bounds,
-    double_suspension_check,
     join_upper_bound,
     n_complete_bipartite,
     n_complete_multipartite,
-    suspension_recursion_check,
 )
 from .graphs import (
     Graph,

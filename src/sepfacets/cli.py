@@ -37,7 +37,6 @@ from .graphs import (
     GraphError,
     delete_vertex,
     edges,
-    is_connected,
     iter_bits,
     join,
     one_sum,
@@ -133,8 +132,6 @@ def _count(args: argparse.Namespace) -> int:
             raise CliInputError("--method domination needs a vertex adjacent to all others")
         value = count_suspension_via_domination(delete_vertex(g, apex))
     else:
-        if not is_connected(g):
-            raise CliInputError("formula method requires a connected graph")
         parts = complete_multipartite_parts(g)
         if parts is None or len(parts) < 2:
             raise CliInputError("--method formula needs a complete multipartite graph")
@@ -155,8 +152,10 @@ def _facets(args: argparse.Namespace) -> int:
         subgraphs = enumerate_facet_subgraphs(g)
         print(f"subgraphs {len(subgraphs)}")
         total = 0
+        all_edges = edges(g)
         for k, h in enumerate(subgraphs, start=1):
-            removed = [e for e in edges(g) if e not in set(h.cross_edges)]
+            cross = set(h.cross_edges)
+            removed = [e for e in all_edges if e not in cross]
             removed_txt = ",".join(f"{i}-{j}" for i, j in removed) or "-"
             print(f"H{k} V1={{{_mask_csv(h.part1)}}} V2={{{_mask_csv(h.part2)}}} "
                   f"removed={removed_txt} mu={h.mu}")

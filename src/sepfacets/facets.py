@@ -79,8 +79,10 @@ class FacetSubgraph:
 
 
 def _require_connected(g: Graph) -> None:
-    if g.n < 2 or not is_connected(g):
+    if g.n < 2:
         raise GraphError("facet counting requires a connected graph on >= 2 vertices")
+    if not is_connected(g):
+        raise GraphError("disconnected")
 
 
 def _bfs_tree(g: Graph) -> list[Edge]:
@@ -411,10 +413,13 @@ def count_bipartite_strict(b: Graph) -> int:
 
     Signs are chosen on a spanning tree (2^(n-1) candidates); a candidate
     survives when every non-tree edge also differs by exactly 1. For a
-    bipartite graph this equals its facet count.
+    bipartite graph this equals its facet count. Graphs on more than
+    MAX_SCAN_VERTICES vertices are refused.
     """
-    if b.n < 2 or not is_connected(b):
-        raise GraphError("strict counting requires a connected graph on >= 2 vertices")
+    if b.n > MAX_SCAN_VERTICES:
+        raise GraphError(f"a {b.n}-vertex graph is too large for strict counting: "
+                         f"2^{b.n - 1} sign choices (at most {MAX_SCAN_VERTICES} vertices)")
+    _require_connected(b)
     if bipartition(b) is None:
         raise GraphError("strict counting requires a bipartite graph")
     return sum(1 for _ in _tree_labelings(b, (-1, 1), {1}))

@@ -11,9 +11,9 @@ Each side of the bracket has one equality test: is_balanced_complete_bipartite
 is_conjectured_maximizer (1-sums of triangles, or of one K4 with triangles,
 by edge count and block sizes; the edge count forces connectivity and K4).
 
-The recursion checks exercise the suspension identities: removing,
-contracting, or clearing the closed neighborhood of a base vertex bounds
-(or, for a dominating vertex, determines) the suspension's facet count.
+suspension_recursion_bounds brackets a suspension's facet count by the
+vertex recursion on a base vertex, and the harness tests computed counts
+against it. classify_extremal takes any graph, disconnected ones included.
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ from .graphs import (
     delete_vertex,
     edge_count,
     full_mask,
-    is_connected,
     iter_bits,
     suspension,
 )
-
-Counter = Callable[[Graph], int]
 
 STAR = "star"
 BALANCED_COMPLETE_BIPARTITE = "balanced_complete_bipartite"
@@ -53,32 +50,6 @@ class BoundPair:
     upper: int
     parity: str
     n: int
-
-
-@dataclass(frozen=True)
-class RecursionCheck:
-    """Outcome of the vertex-removal recursion on a suspension.
-
-    lower/upper are the derived bracket for the suspension's count; on the
-    equality branch (closed neighborhood covers the base) they coincide.
-    """
-
-    equality_branch: bool
-    total: int
-    deleted: int
-    contracted: int
-    middle: int | None
-    lower: int
-    upper: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DoubleSuspensionCheck:
-    twice: int
-    once: int
-    addend: int
-    passed: bool
 
 
 def n_complete_bipartite(l: int, m: int) -> int:
@@ -129,40 +100,26 @@ def join_upper_bound(
     )
 
 
-def suspension_recursion_check(g: Graph, v: int, counter: Counter) -> RecursionCheck:
-    """Check the vertex recursion for the suspension of g at base vertex v.
+def suspension_recursion_bounds(g: Graph, v: int,
+                                counter: Callable[[Graph], int]) -> tuple[int, int]:
+    """Bracket (lower, upper) of the vertex recursion at v on the facet count
+    of the suspension of g, with counts from counter.
 
-    If the closed neighborhood of v covers g, the suspension count equals
-    deleted + contracted + 2 exactly; otherwise it lies between
-    deleted + contracted and deleted + 2*middle + contracted, where middle
-    counts the suspension after clearing the closed neighborhood.
+    deleted, contracted and middle count the suspensions of g - v, g / v and
+    g minus the closed neighborhood of v. If that neighborhood covers g, the
+    count is exactly deleted + contracted + 2; otherwise it lies between
+    deleted + contracted and deleted + 2*middle + contracted.
     """
     if g.n < 2:
         raise GraphError("recursion check needs a base graph on >= 2 vertices")
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
-    total = counter(suspension(g))
     deleted = counter(suspension(delete_vertex(g, v)))
     contracted = counter(suspension(contract_vertex(g, v)))
     if closed_neighborhood(g, v) == full_mask(g.n):
-        exact = deleted + contracted + 2
-        return RecursionCheck(True, total, deleted, contracted, None,
-                              exact, exact, total == exact)
+        return deleted + contracted + 2, deleted + contracted + 2
     middle = counter(suspension(delete_closed_neighborhood(g, v)))
-    lower = deleted + contracted
-    upper = deleted + 2 * middle + contracted
-    return RecursionCheck(False, total, deleted, contracted, middle,
-                          lower, upper, lower <= total <= upper)
-
-
-def double_suspension_check(g: Graph, counter: Counter) -> DoubleSuspensionCheck:
-    """Check that suspending twice adds exactly 2^(|V(g)|+1) facets."""
-    if g.n < 2:
-        raise GraphError("double suspension check needs a base on >= 2 vertices")
-    once = counter(suspension(g))
-    twice = counter(suspension(suspension(g)))
-    addend = 2 ** (g.n + 1)
-    return DoubleSuspensionCheck(twice, once, addend, twice == once + addend)
+    return deleted + contracted, deleted + 2 * middle + contracted
 
 
 def complete_multipartite_parts(g: Graph) -> list[int] | None:
@@ -228,10 +185,9 @@ def classify_extremal(g: Graph) -> str:
 
     Checked in order: star, balanced complete bipartite, 1-sum of
     triangles, K4 with triangles. The families overlap only at the 2-path,
-    which reports as a star.
+    which reports as a star. A disconnected graph is "none": its complement is
+    connected (one part, not two), and the maximizer edge count forces connectivity.
     """
-    if not is_connected(g):
-        raise GraphError("extremal classification requires a connected graph")
     if is_star(g):
         return STAR
     if is_balanced_complete_bipartite(g):

@@ -353,6 +353,8 @@ def test_scan_refuses_large_blocks():
         subgraph_component_value(cycle_graph(33))
     with pytest.raises(GraphError, match="22-vertex graph"):
         enumerate_facets_oracle(cycle_graph(22))
+    with pytest.raises(GraphError, match="40-vertex graph"):
+        count_bipartite_strict(path_graph(40))
 
 
 def test_count_long_path_beyond_recursion_limit(monkeypatch):

@@ -13,7 +13,6 @@ from sepfacets.formulas import (
     classify_extremal,
     complete_multipartite_parts,
     conjecture_bounds,
-    double_suspension_check,
     is_balanced_complete_bipartite,
     is_conjectured_maximizer,
     is_star,
@@ -21,10 +20,11 @@ from sepfacets.formulas import (
     n_complete_bipartite,
     n_complete_multipartite,
     n_from_multipartite_parts,
-    suspension_recursion_check,
+    suspension_recursion_bounds,
 )
 from sepfacets.graphs import (
     Graph,
+    GraphError,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
@@ -32,11 +32,11 @@ from sepfacets.graphs import (
     delete_edge,
     edges,
     from_edges,
-    is_connected,
     join,
     one_sum,
     path_graph,
     star_graph,
+    suspension,
 )
 
 from conftest import (
@@ -104,35 +104,33 @@ def test_balanced_bipartite_closed_form_is_the_lower_bound():
 
 def test_recursion_equality_branch_triangle():
     # the closed neighborhood of any triangle vertex covers the base
-    result = suspension_recursion_check(complete_graph(3), 0, count_facets)
-    assert result.equality_branch and result.passed
-    assert result.total == 14
-    assert result.deleted == 6 and result.contracted == 6
-    assert result.middle is None
-    assert result.lower == result.upper == 14
+    assert suspension_recursion_bounds(complete_graph(3), 0, count_facets) == (14, 14)
+    assert count_facets(suspension(complete_graph(3))) == 14
 
 
 def test_recursion_equality_branch_path_middle():
-    result = suspension_recursion_check(path_graph(3), 1, count_facets)
-    assert result.equality_branch and result.passed
-    assert (result.total, result.deleted, result.contracted) == (12, 4, 6)
+    assert suspension_recursion_bounds(path_graph(3), 1, count_facets) == (12, 12)
+    assert count_facets(suspension(path_graph(3))) == 12
 
 
 def test_recursion_bound_branch_path_end():
-    result = suspension_recursion_check(path_graph(4), 0, count_facets)
-    assert not result.equality_branch and result.passed
-    assert result.total == 28
-    assert result.middle == 6
-    assert result.lower == 24 and result.upper == 36
+    assert suspension_recursion_bounds(path_graph(4), 0, count_facets) == (24, 36)
+    assert count_facets(suspension(path_graph(4))) == 28
+
+
+def test_recursion_bounds_reject_bad_input():
+    with pytest.raises(GraphError, match=">= 2 vertices"):
+        suspension_recursion_bounds(Graph(1, (0,)), 0, count_facets)
+    with pytest.raises(GraphError, match="vertex 3 out of range"):
+        suspension_recursion_bounds(path_graph(3), 3, count_facets)
 
 
 def test_double_suspension_examples():
-    r = double_suspension_check(empty_graph(2), count_facets)
-    assert (r.once, r.twice, r.addend, r.passed) == (4, 12, 8, True)
-    r = double_suspension_check(complete_graph(2), count_facets)
-    assert (r.once, r.twice, r.passed) == (6, 14, True)
-    r = double_suspension_check(empty_graph(3), count_facets)
-    assert (r.once, r.twice, r.addend, r.passed) == (8, 24, 16, True)
+    for base, once, twice in ((empty_graph(2), 4, 12), (complete_graph(2), 6, 14),
+                              (empty_graph(3), 8, 24)):
+        assert count_facets(suspension(base)) == once
+        assert count_facets(suspension(suspension(base))) == twice
+        assert twice == once + 2 ** (base.n + 1)
 
 
 def test_join_upper_bound_values():
@@ -232,11 +230,10 @@ def test_recognizers_match_explicit_definitions():
         assert is_balanced_complete_bipartite(g) == balanced
         assert is_conjectured_maximizer(g) == maximizer
         maxima += maximizer
-        if is_connected(g):
-            expected = (STAR if star else BALANCED_COMPLETE_BIPARTITE if balanced
-                        else (ONE_SUM_OF_TRIANGLES if g.n % 2 else K4_PLUS_TRIANGLES)
-                        if maximizer else NO_CLASS)
-            assert classify_extremal(g) == expected
+        expected = (STAR if star else BALANCED_COMPLETE_BIPARTITE if balanced
+                    else (ONE_SUM_OF_TRIANGLES if g.n % 2 else K4_PLUS_TRIANGLES)
+                    if maximizer else NO_CLASS)
+        assert classify_extremal(g) == expected
     # both outcomes of the maximizer test are exercised on many cacti
     assert 300 < maxima < len(graphs) - 300
 

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from sepfacets import facets, formulas, harness
 from sepfacets.canon import canonical_form, generate_connected
 from sepfacets.cli import main
 from sepfacets.facets import count_facets
@@ -12,6 +13,7 @@ from sepfacets.graphs import (
     GraphError,
     complete_bipartite,
     complete_graph,
+    from_edges,
     one_sum,
     path_graph,
 )
@@ -139,6 +141,22 @@ def test_disconnected_graph_is_input_error_not_violation():
     assert not sweep.report.violations
     assert sweep.input_errors == [(disconnected, "disconnected")]
     assert [r.cls for r in sweep.rows] == ["k4_plus_triangles", "input_error"]
+
+
+def test_sweep_floods_each_graph_once(monkeypatch):
+    # count_facets checks connectivity; the harness and classify_extremal
+    # must not flood a sweep graph again
+    floods = []
+    for module in (harness, facets, formulas):
+        if hasattr(module, "is_connected"):
+            flood = module.is_connected
+            monkeypatch.setattr(module, "is_connected",
+                                lambda g, flood=flood: floods.append(g) or flood(g))
+    disconnected = from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    graphs = list(generate_connected(6)) + [disconnected]
+    sweep = sweep_conjecture(6, graphs)
+    assert floods == graphs
+    assert sweep.input_errors == [(emit_graph6(disconnected), "disconnected")]
 
 
 def test_mismatched_size_is_input_error():
