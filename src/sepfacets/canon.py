@@ -21,6 +21,18 @@ smaller degree while deleting it keeps the graph in the family. No class is
 lost: a class has a vertex x of least degree among those whose deletion
 keeps it in the family (every leaf of a spanning tree is one), and the
 candidate that adds x to the class of G - x passes.
+
+Each parent is extended only by the neighbourhoods that are least in their
+orbit under its automorphism group (an orbit closure over the 2^(n-1)
+subsets). Neighbourhoods in one orbit give children isomorphic by a map
+fixing the new vertex, so they share one certificate and pass or fail the
+deletion rule together. The first candidate seen for each class is thus an
+orbit minimum already, and the classes, representatives and their order are
+those of extending by every neighbourhood. The group's generators come from
+the certificate search itself: every leaf that ties with the best ordering
+is an automorphism, and so is every twin swap it skips. They are found by
+searching each parent once more when it is extended, not kept, so a level
+holds no more than its tuple of graphs.
 """
 
 from __future__ import annotations
@@ -40,11 +52,23 @@ def canonical_form(g: Graph) -> bytes:
     cap = canonical_limit()
     if g.n > cap:
         raise GraphError(f"canonical form limited to {cap} vertices, got {g.n}")
-    return _certificate(g.adj)
+    return _search(g.adj)[0]
 
 
-def _certificate(adj: tuple[int, ...] | list[int]) -> bytes:
-    """canonical_form of the graph with rows adj, with no size check."""
+def _search(adj: tuple[int, ...] | list[int]) -> tuple[bytes, list[list[int]]]:
+    """canonical_form of the graph with rows adj, with no size check, and
+    generators of its automorphism group as vertex maps (perm[v] is the
+    image of v).
+
+    The generators are the automorphisms the search meets: the swap of each
+    vertex with its first earlier twin (the twins it skips), and for each
+    leaf that ties with the best ordering the map from the best ordering to
+    that leaf's. They generate the whole group: an automorphism carries the
+    best ordering to another best ordering, and twin swaps turn that one
+    into a best ordering that places each set of twins in index order, which
+    is a leaf the search visits (the bound prunes only prefixes above the
+    best).
+    """
     n = len(adj)
     degs = [adj[v].bit_count() for v in range(n)]
     target = sorted(degs)
@@ -55,6 +79,8 @@ def _certificate(adj: tuple[int, ...] | list[int]) -> bytes:
                 earlier_twins[u] |= 1 << w
 
     best: list[int] | None = None
+    best_order: list[int] = []
+    ties: list[list[int]] = []
     placed: list[int] = []
     unplaced = (1 << n) - 1
     chunks: list[int] = []
@@ -62,8 +88,12 @@ def _certificate(adj: tuple[int, ...] | list[int]) -> bytes:
     def descend(k: int) -> None:
         nonlocal best, unplaced
         if k == n:
-            if best is None or chunks < best:
+            if chunks == best:
+                ties.append(list(placed))
+            elif best is None or chunks < best:
                 best = list(chunks)
+                best_order[:] = placed
+                ties.clear()
             return
         want = target[k]
         options = []
@@ -99,7 +129,49 @@ def _certificate(adj: tuple[int, ...] | list[int]) -> bytes:
         nbits += k
     pad = (-nbits) % 8
     packed = (bits << pad).to_bytes((nbits + pad) // 8, "big") if nbits else b""
-    return bytes([n]) + packed
+
+    generators = []
+    for u in range(n):
+        if earlier_twins[u]:
+            w = (earlier_twins[u] & -earlier_twins[u]).bit_length() - 1
+            perm = list(range(n))
+            perm[u], perm[w] = w, u
+            generators.append(perm)
+    for order in ties:
+        perm = [0] * n
+        for v, image in zip(best_order, order):
+            perm[v] = image
+        generators.append(perm)
+    return bytes([n]) + packed, generators
+
+
+def _orbit_minima(generators: list[list[int]], new: int, lowest: int) -> list[int]:
+    """The masks in range(lowest, 2**new) that are least in their orbit under
+    the group the generators (vertex maps on range(new)) generate."""
+    size = 1 << new
+    images = []
+    for perm in generators:
+        image = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(size)
+    minima = []
+    for s in range(lowest, size):
+        if seen[s]:
+            continue
+        minima.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for image in images:
+                u = image[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return minima
 
 
 def _passes_deletion_rule(rows: list[int], connected_only: bool) -> bool:
@@ -125,12 +197,12 @@ def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
     lowest = 1 if connected_only else 0
     seen: dict[bytes, Graph] = {}
     for parent in parents:
-        for nbhd in range(lowest, 1 << new):
+        for nbhd in _orbit_minima(_search(parent.adj)[1], new, lowest):
             rows = [parent.adj[v] | (nbhd >> v & 1) << new for v in range(new)]
             rows.append(nbhd)
             if not _passes_deletion_rule(rows, connected_only):
                 continue
-            cert = _certificate(rows)
+            cert = _search(rows)[0]
             if cert not in seen:
                 seen[cert] = Graph(n, tuple(rows))
     return tuple(seen[c] for c in sorted(seen))

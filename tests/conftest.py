@@ -189,6 +189,49 @@ def ref_is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
+def ref_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g as a vertex map (perm[v] is the image of v),
+    by a backtracking search that picks the images of 0, 1, ... in turn and
+    checks each against the edge set."""
+    n = g.n
+    edge_set = {frozenset(e) for e in edges(g)}
+    degree = [sum(v in e for e in edge_set) for v in range(n)]
+    found = []
+    perm = []
+
+    def extend():
+        v = len(perm)
+        if v == n:
+            found.append(tuple(perm))
+            return
+        for image in range(n):
+            if image in perm or degree[image] != degree[v]:
+                continue
+            if all((frozenset((u, v)) in edge_set)
+                   == (frozenset((perm[u], image)) in edge_set) for u in range(v)):
+                perm.append(image)
+                extend()
+                perm.pop()
+
+    extend()
+    return found
+
+
+def ref_orbit_minima(group, n):
+    """The subsets of range(n), as masks, that are least in their orbit under
+    the permutation group given by all of its elements."""
+    minima = []
+    covered = set()
+    for s in range(1 << n):
+        if s in covered:
+            continue
+        minima.append(s)
+        members = [v for v in range(n) if s >> v & 1]
+        for perm in group:
+            covered.add(sum(1 << perm[v] for v in members))
+    return minima
+
+
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Apply the permutation old->new to every vertex."""
     rows = [0] * g.n

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import defaultdict
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from sepfacets import canon
 from sepfacets.canon import (
     ALL_CLASS_COUNTS,
     CONNECTED_CLASS_COUNTS,
@@ -12,17 +14,27 @@ from sepfacets.canon import (
     generate_all,
     generate_connected,
 )
+from sepfacets.formats import emit_graph6
 from sepfacets.graphs import (
     GraphError,
     complete_bipartite,
     complete_graph,
+    complete_multipartite,
+    cycle_graph,
     from_edges,
     is_connected,
     path_graph,
     star_graph,
 )
 
-from conftest import graph_strategy, labeled_graphs, ref_is_isomorphic, relabel
+from conftest import (
+    graph_strategy,
+    labeled_graphs,
+    ref_automorphisms,
+    ref_is_isomorphic,
+    ref_orbit_minima,
+    relabel,
+)
 
 # Twin-heavy graphs up to n = 7: the orderings the twin pruning skips.
 TWIN_HEAVY = (
@@ -30,6 +42,34 @@ TWIN_HEAVY = (
     + [star_graph(n) for n in range(2, 8)]
     + [complete_bipartite(a, b) for a in range(1, 4) for b in range(a, 8 - a)]
 )
+
+PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+# sha256 of the graph6 lines of generate_all(n) and generate_connected(n) for
+# n = 1..7, as recorded from the generator that extended each parent by every
+# neighbourhood; connected n = 7 is also the CI pin of `generate --n 7`.
+GENERATED_SHA256 = {
+    generate_all: (
+        "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+        "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+        "a1680d75ef87e824903a43a0f5a4c37577b6945842554674563d48ca3cc90e3d",
+        "c1cc56ec6713ec87751c99609f10783e62c4137859fb06daf248e8fcdc0da6ad",
+        "43b7ec73c196ba85812398ecb1a41ebf4347f8f2c145256cff82c22f706e59c9",
+        "3e109ab13dd8e261697e27f7ee907367c811f1d21e2a65d43f050c35227b2776",
+        "c0fc6e76fdc8f2159c71a3a11673f2b265e5f06ed7232fac4aad1f7db881dfc1",
+    ),
+    generate_connected: (
+        "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+        "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+        "e53a5e15924c562ea91b2e31166da62399d58c4af1027d8ef1aa54ab3235fac4",
+        "0e985c9d32b5f7eae59993e5f23387776d3ba9c42f29e41031765976d9eb8cca",
+        "b512b4169641c295691bc0161e7c5486c64485fda04bc4037cc44e3f5683f4ee",
+        "c70cd64a07a2905d8d482e081f20b234638e6f24c24e7dc1714975196f4b94fb",
+        "d34422af8d2645fba1c20f9636af35c3c2e672b5111730d1b40132ac088d8daf",
+    ),
+}
 
 
 def brute_force_certificate(g):
@@ -133,6 +173,54 @@ def test_classes_come_in_certificate_order(generate):
     for n in range(1, 8):
         certs = [canonical_form(g) for g in generate(n)]
         assert all(a < b for a, b in zip(certs, certs[1:]))
+
+
+@pytest.mark.parametrize("generate", [generate_connected, generate_all])
+def test_representatives_are_pinned(generate):
+    for n, digest in enumerate(GENERATED_SHA256[generate], start=1):
+        lines = "".join(emit_graph6(g) + "\n" for g in generate(n))
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, n
+
+
+def assert_generators_give_the_group(g):
+    group = ref_automorphisms(g)
+    generators = canon._search(g.adj)[1]
+    assert {tuple(perm) for perm in generators} <= set(group)
+    assert canon._orbit_minima(generators, g.n, 0) == ref_orbit_minima(group, g.n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_search_generators_give_the_group_on_all_small_graphs(n):
+    for g in generate_all(n):
+        assert_generators_give_the_group(g)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(10), PETERSEN, complete_bipartite(5, 5),
+                               complete_multipartite([3, 3, 3])],
+                         ids=["C10", "Petersen", "K5,5", "K3,3,3"])
+def test_search_generators_give_the_group_on_symmetric_graphs(g):
+    assert_generators_give_the_group(g)
+
+
+def test_cold_generation_search_count(monkeypatch):
+    # One search per parent for its generators, then one per orbit-least
+    # neighbourhood that passes the deletion rule.
+    calls = 0
+    search = canon._search
+
+    def counted(adj):
+        nonlocal calls
+        calls += 1
+        return search(adj)
+
+    monkeypatch.setattr(canon, "_search", counted)
+    counts = []
+    for generate in (generate_connected, generate_all):
+        canon._classes.cache_clear()
+        calls = 0
+        list(generate(7))
+        counts.append(calls)
+    assert counts == [1504, 1847]
 
 
 def test_generated_graphs_are_distinct_and_connected():
