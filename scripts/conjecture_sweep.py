@@ -7,7 +7,9 @@ Usage:
 
 Writes one JSON report and one CSV table per n when --out-dir is given, and
 prints a summary row per n either way. Exit status 2 if any sweep found a
-violation (none are expected below 8 vertices).
+violation (none are expected below 8 vertices), and 1 with an
+"error: ..." line on stderr for an input the sweep refuses, such as n above
+the generator cap (raise it with SEP_MAX_N).
 """
 
 import argparse
@@ -28,7 +30,14 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out-dir", type=str, default=None)
     args = parser.parse_args()
+    try:
+        return sweep(args)
+    except ValueError as exc:  # GraphError included, as in the CLI
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,6 @@
 
 from .canon import canonical_form, generate_all, generate_connected
 from .facets import (
-    FacetSubgraph,
     count_bipartite_strict,
     count_facets,
     count_suspension_via_domination,

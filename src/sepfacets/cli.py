@@ -37,6 +37,7 @@ from .graphs import (
     GraphError,
     delete_vertex,
     edges,
+    full_mask,
     iter_bits,
     join,
     one_sum,
@@ -149,18 +150,16 @@ def _facets(args: argparse.Namespace) -> int:
     for values in enumerate_facets_oracle(g):
         print(" ".join(map(str, values)))
     if args.subgraphs:
-        subgraphs = enumerate_facet_subgraphs(g)
-        print(f"subgraphs {len(subgraphs)}")
-        total = 0
+        cuts = enumerate_facet_subgraphs(g)
+        print(f"subgraphs {len(cuts)}")
         all_edges = edges(g)
-        for k, h in enumerate(subgraphs, start=1):
-            cross = set(h.cross_edges)
-            removed = [e for e in all_edges if e not in cross]
-            removed_txt = ",".join(f"{i}-{j}" for i, j in removed) or "-"
-            print(f"H{k} V1={{{_mask_csv(h.part1)}}} V2={{{_mask_csv(h.part2)}}} "
-                  f"removed={removed_txt} mu={h.mu}")
-            total += h.mu
-        print(f"total {total}")
+        full = full_mask(g.n)
+        for k, (part2, mu) in enumerate(cuts, start=1):
+            removed = ",".join(f"{i}-{j}" for i, j in all_edges
+                               if not (part2 >> i ^ part2 >> j) & 1) or "-"
+            print(f"H{k} V1={{{_mask_csv(full ^ part2)}}} V2={{{_mask_csv(part2)}}} "
+                  f"removed={removed} mu={mu}")
+        print(f"total {sum(mu for _, mu in cuts)}")
     return 0
 
 

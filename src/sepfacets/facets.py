@@ -21,9 +21,10 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   it. Each cut adds the facet count of the bipartite quotient left by
   contracting the other edges: 2^(q-1) for the star that most cuts give,
   else a count on bitmasks. Neighbourhoods of vertex sets come from two
-  tables of 2^(n/2) entries (_union_tables). mu_of recounts a cut through
-  contract_edges and count_bipartite_strict, and the whole-graph sum over
-  enumerate_facet_subgraphs is the cut count with no join split.
+  tables of 2^(n/2) entries (_union_tables). enumerate_facet_subgraphs
+  returns the scan's terms as (part2, mu) pairs, so their sum is the cut
+  count with no join split, and mu_of(g, part2) recounts one cut through
+  contract_edges and count_bipartite_strict.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph from the dominating sets S of the base, each giving 2^(number of
@@ -38,7 +39,6 @@ than MAX_ORACLE_VERTICES, are refused with GraphError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Iterator
@@ -62,20 +62,6 @@ from .graphs import (
     reach,
 )
 from .limits import MAX_ORACLE_VERTICES, MAX_SCAN_VERTICES
-
-
-@dataclass(frozen=True)
-class FacetSubgraph:
-    """A spanning connected cut of the source graph, with multiplicity.
-
-    part1 holds vertex 0; cross_edges are all source edges between the parts;
-    mu is the number of facets whose strict edge set is exactly this cut.
-    """
-
-    part1: Mask
-    part2: Mask
-    cross_edges: tuple[Edge, ...]
-    mu: int
 
 
 def _require_connected(g: Graph) -> None:
@@ -295,51 +281,41 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
         yield part2, _strict_labelings(nbrs)
 
 
-def enumerate_facet_subgraphs(g: Graph) -> list[FacetSubgraph]:
-    """All cuts whose crossing edges form a spanning connected subgraph.
+def enumerate_facet_subgraphs(g: Graph) -> list[tuple[Mask, int]]:
+    """All cuts whose crossing edges form a spanning connected subgraph, as
+    (part2, mu) in ascending part2 order.
 
     These are exactly the maximal connected spanning bipartite subgraphs.
-    Bipartitions are scanned with vertex 0 pinned to part1, so each
-    unordered cut appears once; output order follows the part2 bitmask.
+    Vertex 0 is pinned to the other part, full_mask(n) ^ part2, so each
+    unordered cut appears once; mu is the number of facets whose strict
+    edge set is exactly the cut's crossing edges.
     """
     _require_connected(g)
-    full = full_mask(g.n)
-    all_edges = edges(g)
-    return [
-        FacetSubgraph(
-            full ^ part2,
-            part2,
-            tuple((i, j) for i, j in all_edges if (part2 >> i ^ part2 >> j) & 1),
-            mu,
-        )
-        for part2, mu in _cuts(g.adj)
-    ]
+    return list(_cuts(g.adj))
 
 
-def mu_of(g: Graph, h: FacetSubgraph) -> int:
-    """Number of facets sharing the cut h, recomputed from g.
+def mu_of(g: Graph, part2: Mask) -> int:
+    """Number of facets sharing the cut with vertex set part2, recomputed
+    from g.
 
     This is the independent reference for the multiplicities of
     enumerate_facet_subgraphs: it contracts the non-crossing edges into a
     quotient Graph (contract_edges) and counts its strict labelings by sign
-    enumeration (count_bipartite_strict).
+    enumeration (count_bipartite_strict). part2 must be a nonempty set of
+    vertices of g without vertex 0, and its crossing edges must span and
+    connect g.
     """
     full = full_mask(g.n)
-    if h.part1 & h.part2 or (h.part1 | h.part2) != full or not h.part1 & 1:
-        raise GraphError("facet subgraph does not partition this graph")
-    cross = []
+    if not part2 or part2 & 1 or part2 & ~full:
+        raise GraphError("cut must be a nonempty vertex set of this graph without vertex 0")
+    rows = [0] * g.n
     non_cross = []
     for i, j in edges(g):
-        if (h.part2 >> i & 1) != (h.part2 >> j & 1):
-            cross.append((i, j))
+        if (part2 >> i ^ part2 >> j) & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         else:
             non_cross.append((i, j))
-    if tuple(cross) != h.cross_edges:
-        raise GraphError("facet subgraph was not produced from this graph")
-    rows = [0] * g.n
-    for i, j in cross:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
     if reach(rows, 1, full) != full:
         raise GraphError("cut is not spanning connected in this graph")
     return count_bipartite_strict(contract_edges(g, non_cross))

@@ -323,7 +323,7 @@ def _suspension_domination(base: Graph) -> Iterator[tuple[str, int]]:
     via_domination = count_suspension_via_domination(base)
     # count_facets(suspension(base)) is itself the domination route, so
     # compare with the cut scan of the whole suspension.
-    if via_domination != sum(h.mu for h in enumerate_facet_subgraphs(suspension(base))):
+    if via_domination != sum(mu for _, mu in enumerate_facet_subgraphs(suspension(base))):
         yield "suspension_domination", via_domination
 
 
@@ -349,9 +349,9 @@ def _bipartite_minimum(g: Graph) -> Iterator[tuple[str, int]]:
 
 
 def _decomposition_sanity(g: Graph) -> Iterator[tuple[str, int]]:
-    for h in enumerate_facet_subgraphs(g):
-        if h.mu < 2 or h.mu % 2 != 0 or mu_of(g, h) != h.mu:
-            yield "mu_sanity", h.mu
+    for part2, mu in enumerate_facet_subgraphs(g):
+        if mu < 2 or mu % 2 != 0 or mu_of(g, part2) != mu:
+            yield "mu_sanity", mu
             return
 
 

@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from sepfacets.canon import generate_connected
 from sepfacets.cli import main
 from sepfacets.formats import emit_graph6, parse_graph6
 from sepfacets.formulas import BoundPair, n_complete_multipartite
@@ -110,6 +116,32 @@ def test_facets_subgraph_table(capsys):
     assert lines[-1] == "total 22"
     mus = sorted(int(ln.rsplit("mu=", 1)[1]) for ln in lines if ln.startswith("H"))
     assert mus == [2, 2, 2, 2, 4, 4, 6]
+
+
+def test_facets_subgraph_tables_are_pinned(capsys):
+    # Every table line of every connected class on 3..6 vertices (141
+    # graphs), byte for byte: V1, V2, the removed edges and mu of each cut.
+    out = []
+    for n in range(3, 7):
+        for g in generate_connected(n):
+            code, text, _ = run(capsys, "facets", "--graph6", emit_graph6(g), "--subgraphs")
+            assert code == 0
+            out.append(text)
+    assert len(out) == 141
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "89ec340325221343b1180a70e188592e6bba70b2d78169f6cc376d7f9e2a9f6e"
+
+
+def test_sweep_script_reports_refused_n():
+    # Without SEP_MAX_N the generator refuses n = 8; the script says so on
+    # stderr and exits 1 instead of raising.
+    env = {k: v for k, v in os.environ.items() if k != "SEP_MAX_N"}
+    script = Path(__file__).resolve().parent.parent / "scripts" / "conjecture_sweep.py"
+    proc = subprocess.run([sys.executable, str(script), "--n-min", "8", "--n-max", "8"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: internal generator limited to n <= 7; "
+                           "ingest graph6 for larger n\n")
 
 
 def test_build_commands(capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from sepfacets import facets
 from sepfacets.canon import generate_all, generate_connected
 from sepfacets.facets import (
-    FacetSubgraph,
     count_bipartite_strict,
     count_facets,
     count_suspension_via_domination,
@@ -49,6 +48,11 @@ from conftest import (
 EXAMPLE = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)])
 
 
+def crossing(g, part2):
+    """The edges of g with one end in part2."""
+    return [(i, j) for i, j in edges(g) if (part2 >> i ^ part2 >> j) & 1]
+
+
 def test_oracle_k2():
     fs = enumerate_facets_oracle(complete_graph(2))
     assert fs == [(0, -1), (0, 1)]
@@ -84,45 +88,51 @@ def test_count_facets_small():
 def test_facet_subgraphs_example():
     subs = enumerate_facet_subgraphs(EXAMPLE)
     assert len(subs) == 7
-    assert sorted(h.mu for h in subs) == [2, 2, 2, 2, 4, 4, 6]
+    assert sorted(mu for _, mu in subs) == [2, 2, 2, 2, 4, 4, 6]
     # multiplicity is pinned by how many edges the cut drops
-    by_removed = Counter((7 - len(h.cross_edges), h.mu) for h in subs)
+    by_removed = Counter((7 - len(crossing(EXAMPLE, part2)), mu) for part2, mu in subs)
     assert by_removed == Counter({(1, 6): 1, (2, 4): 2, (3, 2): 4})
     # the single-edge-removed cut is the one missing the bottom edge (2,3)
-    biggest = max(subs, key=lambda h: len(h.cross_edges))
-    assert (2, 3) not in biggest.cross_edges
-    assert biggest.part2 == mask_of([1, 4])
-    assert sum(h.mu for h in subs) == 22
+    biggest, _ = max(subs, key=lambda cut: len(crossing(EXAMPLE, cut[0])))
+    assert (2, 3) not in crossing(EXAMPLE, biggest)
+    assert biggest == mask_of([1, 4])
+    assert sum(mu for _, mu in subs) == 22
 
 
 def test_facet_subgraphs_bipartite_is_unique():
     for g in (complete_bipartite(2, 3), path_graph(5), cycle_graph(6)):
         subs = enumerate_facet_subgraphs(g)
         assert len(subs) == 1
-        assert set(subs[0].cross_edges) == set(edges(g))
-        assert subs[0].part1 | subs[0].part2 == (1 << g.n) - 1
+        (part2, _), = subs
+        assert crossing(g, part2) == edges(g)
+        assert not part2 & 1
 
 
 def test_facet_subgraphs_triangle():
     subs = enumerate_facet_subgraphs(complete_graph(3))
-    assert len(subs) == 3
-    assert all(len(h.cross_edges) == 2 and h.mu == 2 for h in subs)
+    assert subs == [(0b010, 2), (0b100, 2), (0b110, 2)]
 
 
 def test_mu_of_example_values():
     subs = enumerate_facet_subgraphs(EXAMPLE)
-    for h in subs:
-        assert mu_of(EXAMPLE, h) == h.mu
-        assert h.mu % 2 == 0 and h.mu >= 2
+    for part2, mu in subs:
+        assert mu_of(EXAMPLE, part2) == mu
+        assert mu % 2 == 0 and mu >= 2
 
 
-def test_mu_of_rejects_foreign_subgraph():
-    subs = enumerate_facet_subgraphs(complete_graph(3))
-    with pytest.raises(GraphError):
-        mu_of(complete_graph(4), subs[0])
-    fake = FacetSubgraph(0b001, 0b110, ((0, 1),), 2)
-    with pytest.raises(GraphError):
-        mu_of(complete_graph(3), fake)
+def test_mu_of_rejects_bad_cuts():
+    k3 = complete_graph(3)
+    assert mu_of(k3, 0b110) == 2
+    # empty, holding vertex 0, or reaching past the last vertex
+    for part2 in (0, 0b001, 0b011, 0b111, 0b1000, 0b1010, -2):
+        with pytest.raises(GraphError, match="nonempty vertex set"):
+            mu_of(k3, part2)
+    # crossing edges 1-2 and 2-3 miss vertex 0
+    with pytest.raises(GraphError, match="not spanning connected"):
+        mu_of(path_graph(4), 0b0100)
+    # crossing edges 0-1 and 2-3 cover every vertex but are disconnected
+    with pytest.raises(GraphError, match="not spanning connected"):
+        mu_of(path_graph(4), 0b0110)
 
 
 def test_strict_count_trees():
@@ -160,10 +170,8 @@ def test_suspension_domination_three_component_cut():
     bottom = mask_of([4, 5, 6, 7, 8])
     hat = suspension(base)
     subs = enumerate_facet_subgraphs(hat)
-    cut = [h for h in subs if h.part2 == bottom]
-    assert len(cut) == 1
-    assert cut[0].mu == 2 ** 3
-    assert count_suspension_via_domination(base) == sum(h.mu for h in subs)
+    assert [mu for part2, mu in subs if part2 == bottom] == [2 ** 3]
+    assert count_suspension_via_domination(base) == sum(mu for _, mu in subs)
 
 
 def test_subgraph_component_value_examples():
@@ -223,7 +231,7 @@ def test_normalized_labelings_define_distinct_hyperplanes(g):
 def test_domination_route_matches_decomposition(g):
     # count_facets(suspension(g)) runs through the domination route itself
     cuts = enumerate_facet_subgraphs(suspension(g))
-    assert count_suspension_via_domination(g) == sum(h.mu for h in cuts)
+    assert count_suspension_via_domination(g) == sum(mu for _, mu in cuts)
 
 
 def test_domination_route_matches_brute_sum():
@@ -254,19 +262,22 @@ def test_q_value_bounds_suspension(g):
 
 
 def test_quotients_are_connected_bipartite():
-    # Every class up to 6 vertices: each cut's mu (counted on masks) matches
+    # Every class up to 6 vertices: cuts come in ascending part2 order with
+    # vertex 0 on the other side, each cut's mu (counted on masks) matches
     # the quotient Graph built by contract_edges, and the block product of
     # count_facets matches the whole-graph sum over cuts.
     for n in range(2, 7):
         for g in generate_connected(n):
             subs = enumerate_facet_subgraphs(g)
-            for h in subs:
-                cross = set(h.cross_edges)
+            masks = [part2 for part2, _ in subs]
+            assert masks == sorted(set(masks)) and not any(p & 1 for p in masks)
+            for part2, mu in subs:
+                cross = crossing(g, part2)
                 quotient = contract_edges(g, [e for e in edges(g) if e not in cross])
                 assert is_connected(quotient)
                 assert bipartition(quotient) is not None
-                assert h.mu == count_bipartite_strict(quotient)
-            assert count_facets(g) == sum(h.mu for h in subs)
+                assert mu == count_bipartite_strict(quotient)
+            assert count_facets(g) == sum(mu for _, mu in subs)
 
 
 def test_large_quotients_match_mu_of(monkeypatch):
@@ -286,10 +297,11 @@ def test_large_quotients_match_mu_of(monkeypatch):
         if not is_connected(g):
             continue
         graphs += 1
-        for h in enumerate_facet_subgraphs(g):
-            assert h.mu == mu_of(g, h)
-            comps = ref_components(g.n, [e for e in edges(g) if e not in h.cross_edges])
-            side1 = sum(1 for c in comps if h.part1 >> c[0] & 1)
+        for part2, mu in enumerate_facet_subgraphs(g):
+            assert mu == mu_of(g, part2)
+            cross = crossing(g, part2)
+            comps = ref_components(g.n, [e for e in edges(g) if e not in cross])
+            side1 = sum(1 for c in comps if not part2 >> c[0] & 1)
             star = side1 in (1, len(comps) - 1)
             (stars if star else others).append(len(comps))
     assert max(stars) >= 7 and max(others) >= 7
@@ -303,7 +315,7 @@ def test_count_facets_builds_no_graph(monkeypatch):
         suspension(from_edges(4, [(0, 1)])),  # a cone over K2 + 2 K1
         path_graph(6),
     ]
-    expected = [sum(h.mu for h in enumerate_facet_subgraphs(g)) for g in cases]
+    expected = [sum(mu for _, mu in enumerate_facet_subgraphs(g)) for g in cases]
     built = []
     validate = Graph.__post_init__
 
@@ -327,7 +339,7 @@ def test_join_identity_on_connected_classes():
             if len(components(complement_rows(g.adj))) == 1:
                 continue
             joins += 1
-            assert count_facets(g) == sum(h.mu for h in enumerate_facet_subgraphs(g))
+            assert count_facets(g) == sum(mu for _, mu in enumerate_facet_subgraphs(g))
     assert joins > 0
 
 
@@ -341,7 +353,7 @@ def test_join_identity_on_joins_of_all_graphs():
                 for g2 in pools[n2]:
                     g = join(g1, g2)
                     cuts = enumerate_facet_subgraphs(g)
-                    assert count_facets(g) == sum(h.mu for h in cuts)
+                    assert count_facets(g) == sum(mu for _, mu in cuts)
 
 
 def test_scan_refuses_large_blocks():
@@ -372,7 +384,7 @@ def test_deep_cotrees_match_cut_sum():
     # deep; the whole-graph cut sum never splits it
     for n in range(2, 15, 2):
         g = alternating_threshold(n)
-        assert count_facets(g) == sum(h.mu for h in enumerate_facet_subgraphs(g))
+        assert count_facets(g) == sum(mu for _, mu in enumerate_facet_subgraphs(g))
 
 
 def test_deep_cotrees_count_without_scans():
@@ -394,7 +406,7 @@ def test_cones_skip_blocks(monkeypatch):
     split = facets.blocks
     monkeypatch.setattr(facets, "blocks", lambda adj: calls.append(len(adj)) or split(adj))
     wheel = join(complete_graph(1), cycle_graph(5))
-    assert count_facets(wheel) == sum(h.mu for h in enumerate_facet_subgraphs(wheel))
+    assert count_facets(wheel) == sum(mu for _, mu in enumerate_facet_subgraphs(wheel))
     assert count_facets(star_graph(6)) == 32
     assert calls == []
 
