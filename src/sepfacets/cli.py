@@ -30,7 +30,8 @@ from .formats import (
 from .formulas import (
     complete_multipartite_parts,
     conjecture_bounds,
-    n_from_multipartite_parts,
+    n_complete_bipartite,
+    n_complete_multipartite,
 )
 from .graphs import (
     Graph,
@@ -115,10 +116,13 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "edges", None):
         return parse_edge_spec(args.edges)
     text = Path(args.file).read_text()
-    first = text.strip().splitlines()[0].strip() if text.strip() else ""
-    if " " in first:
+    lines = text.strip().splitlines()
+    if lines and " " in lines[0].strip():
         return parse_edge_list(text)
-    return parse_graph6(first)
+    if len(lines) > 1:
+        raise CliInputError("--file holds more than one graph6 line; count takes "
+                            "one graph, and verify --graph6-file sweeps many")
+    return parse_graph6(text)
 
 
 def _count(args: argparse.Namespace) -> int:
@@ -136,7 +140,8 @@ def _count(args: argparse.Namespace) -> int:
         parts = complete_multipartite_parts(g)
         if parts is None or len(parts) < 2:
             raise CliInputError("--method formula needs a complete multipartite graph")
-        value = n_from_multipartite_parts(parts)
+        value = (n_complete_bipartite(*parts) if len(parts) == 2
+                 else n_complete_multipartite(parts))
     print(value)
     return 0
 
@@ -185,6 +190,8 @@ def _verify(args: argparse.Namespace) -> int:
     if args.identities:
         if args.graph6_file:
             raise CliInputError("--identities runs on generated families; use --n")
+        if args.csv:
+            raise CliInputError("--identities has no per-graph rows to write; drop --csv")
         report = verify_identities(args.n)
         rows = []
         input_errors: list[tuple[str, str]] = []

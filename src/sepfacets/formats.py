@@ -3,7 +3,9 @@
 graph6 packs the upper triangle of the adjacency matrix column-major
 (x(0,1), x(0,2), x(1,2), x(0,3), ...), six bits per byte, each byte offset
 by 63. Sizes below 63 are a single leading byte n+63; larger sizes use the
-standard '~' three-byte header. An optional ">>graph6<<" prefix is accepted.
+standard '~' three-byte header. The last byte is padded with zero bits, and
+a string with a nonzero padding bit is refused, so each graph has one
+graph6 string. An optional ">>graph6<<" prefix is accepted.
 
 The edge-list file format is "n m" on the first line and one "i j" pair per
 following line, 0-based. The inline spec is the same data on one line,
@@ -22,9 +24,7 @@ class FormatError(ValueError):
 
 
 def parse_graph6(line: str) -> Graph:
-    s = line.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):]
+    s = line.strip().removeprefix(GRAPH6_HEADER)
     if not s:
         raise FormatError("empty graph6 string")
     data = [ord(ch) for ch in s]
@@ -49,6 +49,8 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError("graph6 body too short")
     if len(body) > need:
         raise FormatError("trailing garbage after graph6 body")
+    if body and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise FormatError("nonzero padding bits in the last graph6 byte")
     try:
         rows = [0] * n
         k = 0

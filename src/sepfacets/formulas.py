@@ -135,15 +135,6 @@ def complete_multipartite_parts(g: Graph) -> list[int] | None:
     return sorted(comp.bit_count() for comp in parts)
 
 
-def n_from_multipartite_parts(parts: list[int]) -> int:
-    """Closed-form facet count for the given part sizes (any s >= 2)."""
-    if len(parts) < 2:
-        raise ValueError("a connected complete multipartite graph needs >= 2 parts")
-    if len(parts) == 2:
-        return n_complete_bipartite(parts[0], parts[1])
-    return n_complete_multipartite(parts)
-
-
 def is_star(g: Graph) -> bool:
     """g is the star K_{1,n-1}."""
     return _is_complete_bipartite(g, 1)

@@ -30,8 +30,9 @@ from .facets import (
     mu_of,
     subgraph_component_value,
 )
-from .formats import emit_graph6, parse_graph6
+from .formats import GRAPH6_HEADER, emit_graph6, parse_graph6
 from .formulas import (
+    BoundPair,
     classify_extremal,
     conjecture_bounds,
     is_balanced_complete_bipartite,
@@ -66,9 +67,15 @@ class Violation:
     value: int
 
 
-@dataclass(frozen=True)
-class ExtremalHit:
+# slots: pool workers send rows back pickled, and an unpickled row without
+# slots gets a dict of its own (28 MB more at n = 9, 261 080 rows).
+@dataclass(frozen=True, slots=True)
+class SweepRow:
     graph6: str
+    n: int
+    facet_count: int | None
+    lower: int
+    upper: int
     cls: str
 
 
@@ -77,18 +84,8 @@ class VerificationReport:
     n: int
     graphs_checked: int
     violations: list[Violation]
-    extremal_hits: list[ExtremalHit]
+    extremal_hits: list[SweepRow]
     runtime_ms: int
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    graph6: str
-    n: int
-    facet_count: int | None
-    lower: int
-    upper: int
-    cls: str
 
 
 @dataclass
@@ -103,15 +100,21 @@ def cached_count_facets(g: Graph) -> int:
     return count_facets(g)
 
 
-def _conjecture_task(args: tuple[str, int]) -> tuple:
-    g6, n = args
+def _conjecture_task(args: tuple[str, BoundPair]) -> tuple[SweepRow, str | None]:
+    """The row of one graph6 line, stripped of whitespace and header, and
+    why the graph was refused (None if it was counted)."""
+    line, bounds = args
+    g6 = line.strip().removeprefix(GRAPH6_HEADER)
     try:
         g = parse_graph6(g6)
-        if g.n != n:
-            return ("error", g6, f"expected {n} vertices, got {g.n}")
-        return ("ok", g6, count_facets(g), classify_extremal(g))
+        if g.n != bounds.n:
+            reason = f"expected {bounds.n} vertices, got {g.n}"
+        else:
+            return SweepRow(g6, bounds.n, count_facets(g), bounds.lower, bounds.upper,
+                            classify_extremal(g)), None
     except (GraphError, ValueError) as exc:
-        return ("error", g6, str(exc))
+        reason = str(exc)
+    return SweepRow(g6, bounds.n, None, bounds.lower, bounds.upper, "input_error"), reason
 
 
 def sweep_conjecture(
@@ -120,49 +123,40 @@ def sweep_conjecture(
     jobs: int = 1,
 ) -> ConjectureSweep:
     """Check the conjectured bounds for each input graph (default: all
-    connected classes on n vertices). Results keep the input order."""
+    connected classes on n vertices). Rows keep the input order; the
+    extremal hits are the rows whose count equals a bound."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.monotonic()
     if graphs is None:
         graphs = generate_connected(n)
-    g6s = [g if isinstance(g, str) else emit_graph6(g) for g in graphs]
     bounds = conjecture_bounds(n)
-
-    tasks = [(g6, n) for g6 in g6s]
+    tasks = [(g if isinstance(g, str) else emit_graph6(g), bounds) for g in graphs]
     workers = min(jobs, len(tasks))
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(_conjecture_task, tasks,
                                chunksize=max(1, len(tasks) // (workers * 4)))
     else:
-        results = [_conjecture_task(t) for t in tasks]
+        results = map(_conjecture_task, tasks)
 
-    rows: list[SweepRow] = []
-    violations: list[Violation] = []
-    hits: list[ExtremalHit] = []
-    input_errors: list[tuple[str, str]] = []
-    checked = 0
-    for result in results:
-        if result[0] == "error":
-            _, g6, reason = result
-            input_errors.append((g6, reason))
-            rows.append(SweepRow(g6, n, None, bounds.lower, bounds.upper,
-                                 "input_error"))
+    report = VerificationReport(n, 0, [], [], 0)
+    sweep = ConjectureSweep(report, [], [])
+    for row, reason in results:
+        sweep.rows.append(row)
+        if reason is not None:
+            sweep.input_errors.append((row.graph6, reason))
             continue
-        _, g6, count, cls = result
-        checked += 1
-        rows.append(SweepRow(g6, n, count, bounds.lower, bounds.upper, cls))
-        if count < bounds.lower:
-            violations.append(Violation(g6, "lower", count))
-        if count > bounds.upper:
-            violations.append(Violation(g6, "upper", count))
-        if count == bounds.lower or count == bounds.upper:
-            hits.append(ExtremalHit(g6, cls))
-
-    runtime_ms = int((time.monotonic() - start) * 1000)
-    report = VerificationReport(n, checked, violations, hits, runtime_ms)
-    return ConjectureSweep(report, rows, input_errors)
+        count = row.facet_count
+        report.graphs_checked += 1
+        if count < row.lower:
+            report.violations.append(Violation(row.graph6, "lower", count))
+        if count > row.upper:
+            report.violations.append(Violation(row.graph6, "upper", count))
+        if count == row.lower or count == row.upper:
+            report.extremal_hits.append(row)
+    report.runtime_ms = int((time.monotonic() - start) * 1000)
+    return sweep
 
 
 # --- identity suites ------------------------------------------------------

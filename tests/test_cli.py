@@ -48,6 +48,11 @@ def test_count_from_files(capsys, tmp_path):
     g6_file.write_text("C~\n")
     code, out, _ = run(capsys, "count", "--file", str(g6_file))
     assert code == 0 and out == "14\n"
+    # count takes one graph; a graph6 file of many is for verify
+    g6_file.write_text("C~\nCq\n")
+    code, out, err = run(capsys, "count", "--file", str(g6_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "verify --graph6-file" in err
 
 
 def test_count_method_preconditions(capsys):
@@ -191,11 +196,18 @@ def test_verify_writes_reports(capsys, tmp_path):
 
 
 def test_verify_graph6_file(capsys, tmp_path):
+    # surrounding whitespace and the >>graph6<< header are not part of the string
     path = tmp_path / "graphs.g6"
-    path.write_text("Bw\nBo\n")
-    code, out, _ = run(capsys, "verify", "--graph6-file", str(path))
+    csv_path = tmp_path / "rows.csv"
+    path.write_text(" Bw \n>>graph6<<Bo\n")
+    code, out, _ = run(capsys, "verify", "--graph6-file", str(path),
+                       "--csv", str(csv_path))
     assert code == 0
-    assert "graphs_checked=2" in out
+    assert out.splitlines() == [
+        "conjecture n=3 graphs_checked=2 violations=0 extremal_hits=2",
+        "hit Bw one_sum_of_triangles", "hit Bo star"]
+    cells = [ln.split(",")[0] for ln in csv_path.read_text().splitlines()[1:]]
+    assert cells == ["Bw", "Bo"]
 
 
 def test_verify_input_error_exit_code(capsys, tmp_path):
@@ -224,13 +236,19 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
     assert any(ln.startswith("violation ") for ln in out.splitlines())
 
 
-def test_verify_identities_cli(capsys, monkeypatch):
+def test_verify_identities_cli(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "verify", "--n", "3", "--identities")
     assert code == 0
     assert out.startswith("identities n_max=3")
     monkeypatch.delenv("SEP_MAX_N", raising=False)
     code, out, err = run(capsys, "verify", "--n", "8", "--identities")
     assert code == 1 and out == "" and "n_max <= 7" in err
+    # the identity suites have no per-graph rows for a CSV
+    csv_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "verify", "--n", "3", "--identities",
+                         "--csv", str(csv_path))
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert "--csv" in err and not csv_path.exists()
 
 
 def test_generate(capsys):

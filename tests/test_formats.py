@@ -69,6 +69,18 @@ def test_malformed_inputs():
         parse_graph6("?")  # zero vertices
 
 
+def test_nonzero_padding_is_refused():
+    # K3 is Bw: three edge bits 111, then three zero padding bits
+    assert parse_graph6("Bw") == complete_graph(3)
+    with pytest.raises(FormatError, match="nonzero padding"):
+        parse_graph6("Bx")
+    for n in range(2, 10):
+        line = emit_graph6(complete_graph(n))
+        for bit in range(-(n * (n - 1) // 2) % 6):
+            with pytest.raises(FormatError, match="nonzero padding"):
+                parse_graph6(line[:-1] + chr((ord(line[-1]) - 63 | 1 << bit) + 63))
+
+
 def test_edge_list_round_trip():
     g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)])
     assert parse_edge_spec(emit_edge_spec(g)) == g

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from sepfacets.canon import generate_all
+from sepfacets.cli import main
 from sepfacets.facets import count_facets
+from sepfacets.formats import emit_graph6
 from sepfacets.formulas import (
     BALANCED_COMPLETE_BIPARTITE,
     K4_PLUS_TRIANGLES,
@@ -19,7 +21,6 @@ from sepfacets.formulas import (
     join_upper_bound,
     n_complete_bipartite,
     n_complete_multipartite,
-    n_from_multipartite_parts,
     suspension_recursion_bounds,
 )
 from sepfacets.graphs import (
@@ -246,7 +247,8 @@ def test_complete_multipartite_parts_detection():
     assert complete_multipartite_parts(empty_graph(3)) == [3]
 
 
-def test_formula_dispatch_matches_decomposition():
+def test_formula_dispatch_matches_decomposition(capsys):
     for parts in ([1, 1], [1, 3], [2, 2], [1, 1, 1], [1, 1, 2], [1, 2, 3], [2, 2, 2]):
         g = complete_multipartite(parts)
-        assert n_from_multipartite_parts(parts) == count_facets(g)
+        code = main(["count", "--graph6", emit_graph6(g), "--method", "formula"])
+        assert (code, capsys.readouterr().out) == (0, f"{count_facets(g)}\n")

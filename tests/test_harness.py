@@ -80,6 +80,14 @@ def test_sweep_accepts_graph6_stream():
     assert report.graphs_checked == 6 and not report.violations
 
 
+def test_sweep_rows_hold_the_bare_graph6():
+    sweep = sweep_conjecture(4, graphs=[" C~ ", ">>graph6<<C~", "\tCq\n"])
+    assert [r.graph6 for r in sweep.rows] == ["C~", "C~", "Cq"]
+    # the extremal hits are the rows at a bound
+    assert sweep.report.extremal_hits == sweep.rows[:2]
+    assert [r.cls for r in sweep.rows[:2]] == ["k4_plus_triangles"] * 2
+
+
 def test_sweep_ingests_external_n8_corpus():
     # beyond the internal generator cap; counts pinned by both routes and,
     # for the first three, by closed forms (2^8-2, 2^7, binom(8,4))
