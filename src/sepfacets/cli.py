@@ -186,6 +186,20 @@ def _bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _first_parsed_n(lines: list[str]) -> int:
+    """Vertex count of the first of the nonempty lines that parses as
+    graph6. The sweep reports the lines before it as input errors, like a
+    bad line anywhere else; if no line parses, the first line's error is
+    raised."""
+    errors = []
+    for line in lines:
+        try:
+            return parse_graph6(line).n
+        except FormatError as exc:
+            errors.append(exc)
+    raise errors[0]
+
+
 def _verify(args: argparse.Namespace) -> int:
     if args.identities:
         if args.graph6_file:
@@ -203,8 +217,7 @@ def _verify(args: argparse.Namespace) -> int:
                      if ln.strip()]
             if not lines:
                 raise CliInputError("graph6 file is empty")
-            n = parse_graph6(lines[0]).n
-            sweep = sweep_conjecture(n, lines, jobs=args.jobs)
+            sweep = sweep_conjecture(_first_parsed_n(lines), lines, jobs=args.jobs)
         else:
             sweep = sweep_conjecture(args.n, jobs=args.jobs)
         report = sweep.report

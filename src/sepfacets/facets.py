@@ -33,12 +33,21 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   product of its components' counts, a set whose complement splits is
   counted from its parts in closed form, and any other set is scanned.
 
+The two leaf counts of routes 2 and 3, _strict_labelings on a quotient's
+neighbour masks and _component_power_sum on a scanned set's rows, are pure
+functions of tuples that recur across cuts and graphs, so each keeps an
+lru_cache bounded at 2^16 entries and counts each distinct tuple once per
+process. The references they are checked against, mu_of,
+count_bipartite_strict and enumerate_facets_oracle, stay uncached, so a
+wrong cached value cannot reach both sides of a check.
+
 Scans over more than MAX_SCAN_VERTICES vertices, and oracle runs over more
 than MAX_ORACLE_VERTICES, are refused with GraphError.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Iterator
@@ -137,7 +146,8 @@ def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def _strict_labelings(nbrs: list[Mask]) -> int:
+@lru_cache(maxsize=1 << 16)
+def _strict_labelings(nbrs: tuple[Mask, ...]) -> int:
     """Homomorphisms from a connected bipartite graph into the integer path.
 
     nbrs[k] is the neighbour mask of vertex k; the root 0 is labelled 0.
@@ -146,6 +156,10 @@ def _strict_labelings(nbrs: list[Mask]) -> int:
     vertex may take a value adjacent to each of them: two values when they
     agree, one when they span 2, none otherwise. A tree skips the search:
     each of its q - 1 edges picks a sign freely.
+
+    Cached on nbrs: the same quotient recurs across the cuts of one graph
+    and across graphs. mu_of and count_bipartite_strict recount a cut with
+    no cache and no shared code, so they still check each cached value.
     """
     q = len(nbrs)
     if sum(row.bit_count() for row in nbrs) == 2 * (q - 1):
@@ -278,7 +292,7 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
                 if touched & other and j != k:
                     row |= 1 << j
             nbrs.append(row)
-        yield part2, _strict_labelings(nbrs)
+        yield part2, _strict_labelings(tuple(nbrs))
 
 
 def enumerate_facet_subgraphs(g: Graph) -> list[tuple[Mask, int]]:
@@ -453,11 +467,17 @@ def subgraph_component_value(g: Graph) -> int:
     return _component_power_sum(g.adj, 0)
 
 
+@lru_cache(maxsize=1 << 16)
 def _component_power_sum(adj: tuple[Mask, ...], cover: Mask) -> int:
     """Sum of 2^c(adj[S]) over the vertex sets S with cover inside N(S) | S.
 
     Covers and components come from the neighbourhood-union tables, so a
     graph on more than MAX_SCAN_VERTICES vertices is refused.
+
+    Cached on (adj, cover): the same join side recurs across graphs. The
+    labeling oracle and the whole-graph cut sum never call it, so the tests
+    that compare them with the domination route still check each cached
+    value.
     """
     lo, hi, h = _union_tables(adj)
     low = (1 << h) - 1

@@ -219,6 +219,28 @@ def test_verify_input_error_exit_code(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("text", ["Bx\nBw\n", "Bw\nBx\n"], ids=["bad_first", "bad_last"])
+def test_verify_malformed_line_in_any_position(capsys, tmp_path, text):
+    # n comes from the first line that parses; a malformed line is one
+    # input error wherever it sits (Bx is K3 with a nonzero padding bit)
+    path = tmp_path / "graphs.g6"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--graph6-file", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "conjecture n=3 graphs_checked=1 violations=0 extremal_hits=1",
+        "hit Bw one_sum_of_triangles"]
+    assert err.splitlines()[0] == "input error: Bx: nonzero padding bits in the last graph6 byte"
+
+
+def test_verify_file_with_no_parsing_line(capsys, tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_text("Bx\nB\n")
+    code, out, err = run(capsys, "verify", "--graph6-file", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: nonzero padding bits in the last graph6 byte\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_rejects_jobs_below_one(capsys, jobs):
     code, out, err = run(capsys, "verify", "--n", "4", "--jobs", jobs)

@@ -35,6 +35,7 @@ from sepfacets.graphs import (
     star_graph,
     suspension,
 )
+from sepfacets.harness import sweep_conjecture
 
 from conftest import (
     empty_graph,
@@ -426,3 +427,62 @@ def test_join_floods_each_set_once(monkeypatch):
                     floods.clear()
                     count_facets(join(g1, g2))
                     assert floods and len(set(floods)) == len(floods)
+
+
+def cache_cases():
+    """Every connected class on 2..7 vertices, then four seeded sparse
+    13-vertex graphs with 24 edges, which reach quotients of 7 or more
+    vertices."""
+    rng = random.Random(5)
+    pairs = [(i, j) for j in range(13) for i in range(j)]
+    sparse = []
+    while len(sparse) < 4:
+        g = from_edges(13, rng.sample(pairs, 24))
+        if is_connected(g):
+            sparse.append(g)
+    return [g for n in range(2, 8) for g in generate_connected(n)] + sparse
+
+
+LEAF_CACHES = ("_strict_labelings", "_component_power_sum")
+
+
+def clear_leaf_caches():
+    for name in LEAF_CACHES:
+        getattr(facets, name).cache_clear()
+
+
+def test_leaf_caches_never_change_a_count():
+    for name in LEAF_CACHES:
+        assert getattr(facets, name).cache_info().maxsize == 1 << 16
+    graphs = cache_cases()
+    clear_leaf_caches()
+    forward = [count_facets(g) for g in graphs]
+    backward = [count_facets(g) for g in reversed(graphs)]
+    assert backward[::-1] == forward
+
+
+def test_leaf_caches_match_uncached_counts(monkeypatch):
+    # every quotient _cuts passes and every join side scanned gives the
+    # same value from the cache as from the function behind it
+    keys = {name: set() for name in LEAF_CACHES}
+    for name in LEAF_CACHES:
+        monkeypatch.setattr(facets, name, lambda *key, seen=keys[name], f=getattr(facets, name):
+                            seen.add(key) or f(*key))
+    for g in cache_cases():
+        count_facets(g)
+    monkeypatch.undo()
+    for name in LEAF_CACHES:
+        cached = getattr(facets, name)
+        assert keys[name]
+        for key in keys[name]:
+            assert cached(*key) == cached.__wrapped__(*key)
+    assert max(len(nbrs) for nbrs, in keys["_strict_labelings"]) >= 7
+
+
+def test_leaf_cache_reuse_in_the_n7_sweep():
+    # calls and misses of each cache over the 853 classes on 7 vertices,
+    # from cold caches
+    clear_leaf_caches()
+    sweep_conjecture(7)
+    info = [getattr(facets, name).cache_info() for name in LEAF_CACHES]
+    assert [(i.hits + i.misses, i.misses) for i in info] == [(1696, 43), (3094, 78)]
