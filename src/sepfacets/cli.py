@@ -117,7 +117,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         return parse_edge_spec(args.edges)
     text = Path(args.file).read_text()
     lines = text.strip().splitlines()
-    if lines and " " in lines[0].strip():
+    if lines and len(lines[0].split()) == 2:
         return parse_edge_list(text)
     if len(lines) > 1:
         raise CliInputError("--file holds more than one graph6 line; count takes "
@@ -206,6 +206,8 @@ def _verify(args: argparse.Namespace) -> int:
             raise CliInputError("--identities runs on generated families; use --n")
         if args.csv:
             raise CliInputError("--identities has no per-graph rows to write; drop --csv")
+        if args.jobs != 1:
+            raise CliInputError("--identities runs in one process; drop --jobs")
         report = verify_identities(args.n)
         rows = []
         input_errors: list[tuple[str, str]] = []

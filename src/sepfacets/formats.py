@@ -3,9 +3,10 @@
 graph6 packs the upper triangle of the adjacency matrix column-major
 (x(0,1), x(0,2), x(1,2), x(0,3), ...), six bits per byte, each byte offset
 by 63. Sizes below 63 are a single leading byte n+63; larger sizes use the
-standard '~' three-byte header. The last byte is padded with zero bits, and
-a string with a nonzero padding bit is refused, so each graph has one
-graph6 string. An optional ">>graph6<<" prefix is accepted.
+standard '~' three-byte header. The last byte is padded with zero bits. A
+string with a nonzero padding bit, or with the '~' header for a size below
+63, is refused, so each graph has one graph6 string. An optional
+">>graph6<<" prefix is accepted.
 
 The edge-list file format is "n m" on the first line and one "i j" pair per
 following line, 0-based. The inline spec is the same data on one line,
@@ -37,6 +38,8 @@ def parse_graph6(line: str) -> Graph:
         if len(data) < 4:
             raise FormatError("truncated graph6 size block")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        if n < 63:
+            raise FormatError(f"graph6 size {n} below 63 takes the one-byte form")
         body = data[4:]
     else:
         n = data[0] - 63

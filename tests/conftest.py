@@ -9,6 +9,7 @@ the package's recognizers rely on edge counts.
 """
 
 import itertools
+import random
 
 import hypothesis
 import hypothesis.strategies as st
@@ -17,12 +18,14 @@ from hypothesis import assume
 from sepfacets.graphs import (
     Graph,
     bipartition,
-    blocks,
+    complete_graph,
+    delete_edge,
     edges,
     from_edges,
     has_edge,
     is_connected,
     iter_bits,
+    one_sum,
 )
 
 hypothesis.settings.register_profile("fast", max_examples=15)
@@ -107,6 +110,22 @@ def ref_components(n, edge_list):
     return comps
 
 
+def ref_blocks(n, edge_list):
+    """Vertex masks of the blocks, ascending. Two edges share a block exactly
+    when no vertex v separates them: G - v has them in one component, an
+    edge at v sitting with its other end. So the edges of a block are those
+    with the same component in G - v for every v."""
+    where = []
+    for v in range(n):
+        comps = ref_components(n, [e for e in edge_list if v not in e])
+        where.append({u: k for k, comp in enumerate(comps) for u in comp})
+    groups = {}
+    for i, j in edge_list:
+        key = tuple(where[v][j if i == v else i] for v in range(n))
+        groups[key] = groups.get(key, 0) | 1 << i | 1 << j
+    return sorted(groups.values())
+
+
 def ref_two_coloring(n, edge_list):
     """A proper 2-coloring by DFS, or None if an odd cycle exists."""
     adj = {v: [] for v in range(n)}
@@ -157,7 +176,7 @@ def ref_is_complete_bipartite(g: Graph, a: int) -> bool:
 
 def ref_is_one_sum_of_triangles(g: Graph) -> bool:
     """Connected, with at least one block and every block a triangle."""
-    blks = blocks(g.adj)
+    blks = ref_blocks(g.n, edges(g))
     return (len(ref_components(g.n, edges(g))) == 1 and bool(blks)
             and all(b.bit_count() == 3 for b in blks))
 
@@ -167,7 +186,7 @@ def ref_is_k4_plus_triangles(g: Graph) -> bool:
     edges, and every other block is a triangle."""
     if len(ref_components(g.n, edges(g))) != 1:
         return False
-    big = [b for b in blocks(g.adj) if b.bit_count() != 3]
+    big = [b for b in ref_blocks(g.n, edges(g)) if b.bit_count() != 3]
     return (len(big) == 1 and big[0].bit_count() == 4
             and sum((g.adj[u] & big[0]).bit_count() for u in iter_bits(big[0])) == 12)
 
@@ -240,6 +259,32 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     return Graph(g.n, tuple(rows))
+
+
+def seeded_cacti():
+    """1500 seeded graphs on up to 31 vertices: each a 1-sum of triangles on
+    K3 or K4, relabeled at random, then left as it is, given an edge more or
+    one less, or given an isolated vertex."""
+    rng = random.Random(20231218)
+    out = []
+    for _ in range(1500):
+        g = complete_graph(rng.choice((3, 4)))
+        while g.n + 2 <= 30 and rng.random() < 0.9:
+            g = one_sum(g, rng.randrange(g.n), complete_graph(3), rng.randrange(3))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        kind = rng.randrange(4)
+        missing = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                   if not g.adj[i] >> j & 1]
+        if kind == 1 and missing:
+            g = from_edges(g.n, edges(g) + [rng.choice(missing)])
+        elif kind == 2:
+            g = delete_edge(g, *rng.choice(edges(g)))
+        elif kind == 3:
+            g = Graph(g.n + 1, g.adj + (0,))
+        out.append(g)
+    return out
 
 
 def labeled_graphs(n):

@@ -44,6 +44,10 @@ def test_count_from_files(capsys, tmp_path):
     edge_file.write_text("3 3\n0 1\n1 2\n0 2\n")
     code, out, _ = run(capsys, "count", "--file", str(edge_file))
     assert code == 0 and out == "6\n"
+    # any whitespace separates the header's two fields
+    edge_file.write_text("3\t3\n0\t1\n1\t2\n0\t2\n")
+    code, out, _ = run(capsys, "count", "--file", str(edge_file))
+    assert code == 0 and out == "6\n"
     g6_file = tmp_path / "g.g6"
     g6_file.write_text("C~\n")
     code, out, _ = run(capsys, "count", "--file", str(g6_file))
@@ -271,6 +275,10 @@ def test_verify_identities_cli(capsys, monkeypatch, tmp_path):
                          "--csv", str(csv_path))
     assert code == 1 and out == "" and err.startswith("error: ")
     assert "--csv" in err and not csv_path.exists()
+    # the identity suites run in one process
+    for jobs in ("4", "0"):
+        code, out, err = run(capsys, "verify", "--n", "3", "--identities", "--jobs", jobs)
+        assert code == 1 and out == "" and err.startswith("error: ") and "--jobs" in err
 
 
 def test_generate(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from sepfacets.canon import generate_connected
+from sepfacets.canon import generate_all
 from sepfacets.formats import (
     FormatError,
     emit_edge_spec,
@@ -34,8 +34,9 @@ def test_header_tolerated():
 
 
 def test_round_trip_generated_corpus():
-    for n in range(1, 6):
-        for g in generate_connected(n):
+    # every class has one graph6 string
+    for n in range(1, 8):
+        for g in generate_all(n):
             line = emit_graph6(g)
             assert parse_graph6(line) == g
             assert emit_graph6(parse_graph6(line)) == line
@@ -48,10 +49,11 @@ def test_round_trip_random(g):
 
 
 def test_long_form_for_63_vertices():
-    g = from_edges(63, [(0, 62)])
-    line = emit_graph6(g)
-    assert line.startswith("~")
-    assert parse_graph6(line) == g
+    for n, head in ((63, "~??~"), (64, "~?@?")):
+        g = from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+        line = emit_graph6(g)
+        assert line.startswith(head)
+        assert parse_graph6(line) == g and emit_graph6(parse_graph6(line)) == line
 
 
 def test_malformed_inputs():
@@ -67,6 +69,10 @@ def test_malformed_inputs():
         parse_graph6(chr(127) + "AA")  # byte above 126
     with pytest.raises(FormatError):
         parse_graph6("?")  # zero vertices
+    # K3 is Bw and K4 is C~; the long form is for 63 vertices and more
+    for line in ("~??Bw", "~??C~"):
+        with pytest.raises(FormatError, match="below 63"):
+            parse_graph6(line)
 
 
 def test_nonzero_padding_is_refused():

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from sepfacets.canon import generate_all
@@ -30,8 +28,6 @@ from sepfacets.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    delete_edge,
-    edges,
     from_edges,
     join,
     one_sum,
@@ -46,7 +42,7 @@ from conftest import (
     ref_complete_multipartite_parts,
     ref_is_complete_bipartite,
     ref_is_conjectured_maximizer,
-    relabel,
+    seeded_cacti,
 )
 
 BOWTIE = one_sum(complete_graph(3), 0, complete_graph(3), 0)
@@ -172,32 +168,6 @@ def test_extremal_predicates():
     assert not is_balanced_complete_bipartite(complete_bipartite(1, 3))
 
 
-def _cactus(rng, n_max):
-    """A seeded 1-sum of triangles on K3 or K4, n_max vertices at most,
-    relabeled at random."""
-    g = complete_graph(rng.choice((3, 4)))
-    while g.n + 2 <= n_max and rng.random() < 0.9:
-        g = one_sum(g, rng.randrange(g.n), complete_graph(3), rng.randrange(3))
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return relabel(g, perm)
-
-
-def _perturbed(rng, g):
-    """g unchanged, with an edge added or removed, or with an isolated vertex
-    appended."""
-    kind = rng.randrange(4)
-    missing = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
-               if not g.adj[i] >> j & 1]
-    if kind == 1 and missing:
-        return from_edges(g.n, edges(g) + [rng.choice(missing)])
-    if kind == 2:
-        return delete_edge(g, *rng.choice(edges(g)))
-    if kind == 3:
-        return Graph(g.n + 1, g.adj + (0,))
-    return g
-
-
 def _triangles_on(base, count):
     for _ in range(count):
         base = one_sum(base, base.n - 1, complete_graph(3), 0)
@@ -217,9 +187,7 @@ def test_recognizers_match_explicit_definitions():
         _triangles_on(complete_graph(4), 3),
         _triangles_on(complete_graph(3), 3),
     ]
-    rng = random.Random(20231218)
-    cacti = [_perturbed(rng, _cactus(rng, 30)) for _ in range(1500)]
-    graphs = [g for n in range(1, 8) for g in generate_all(n)] + special + cacti
+    graphs = [g for n in range(1, 8) for g in generate_all(n)] + special + seeded_cacti()
     assert max(g.n for g in graphs) == 31
     maxima = 0
     for g in graphs:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sepfacets.canon import canonical_form
+from sepfacets.canon import canonical_form, generate_all
 from sepfacets.graphs import (
     Graph,
     GraphError,
@@ -14,6 +14,7 @@ from sepfacets.graphs import (
     components,
     contract_edges,
     contract_vertex,
+    cycle_graph,
     delete_closed_neighborhood,
     delete_vertex,
     edge_count,
@@ -32,9 +33,11 @@ from sepfacets.graphs import (
 from conftest import (
     empty_graph,
     graph_strategy,
+    ref_blocks,
     ref_components,
     ref_is_isomorphic,
     ref_two_coloring,
+    seeded_cacti,
 )
 
 K3 = complete_graph(3)
@@ -190,6 +193,15 @@ def test_blocks_bowtie():
     bowtie = one_sum(K3, 0, K3, 0)
     assert sorted(blocks(bowtie.adj)) == [0b00111, 0b11001]
     assert sorted(blocks(path_graph(4).adj)) == [0b0011, 0b0110, 0b1100]
+
+
+def test_blocks_match_reference():
+    graphs = [g for n in range(1, 8) for g in generate_all(n)] + seeded_cacti()
+    graphs += [path_graph(64), cycle_graph(64), star_graph(64)]
+    for g in graphs:
+        assert sorted(blocks(g.adj)) == ref_blocks(g.n, edges(g))
+    assert len(blocks(path_graph(64).adj)) == len(blocks(star_graph(64).adj)) == 63
+    assert blocks(cycle_graph(64).adj) == [full_mask(64)]
 
 
 @given(graph_strategy(max_n=7))
