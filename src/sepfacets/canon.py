@@ -211,9 +211,9 @@ def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
 def _generated(n: int, connected_only: bool) -> Iterator[Graph]:
     cap = generator_limit()
     if not 1 <= n <= cap:
-        raise GraphError(
-            f"internal generator limited to n <= {cap}; ingest graph6 for larger n"
-        )
+        raise GraphError(f"internal generator needs n >= 1, got {n}" if n < 1
+                         else f"internal generator limited to n <= {cap}; "
+                         "ingest graph6 for larger n")
     return iter(_classes(n, connected_only))
 
 

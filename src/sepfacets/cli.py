@@ -116,9 +116,10 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "edges", None):
         return parse_edge_spec(args.edges)
     text = Path(args.file).read_text()
-    lines = text.strip().splitlines()
-    if lines and len(lines[0].split()) == 2:
+    # a graph6 line never starts with a digit or '-'
+    if text.lstrip().removeprefix("-")[:1].isdecimal():
         return parse_edge_list(text)
+    lines = text.strip().splitlines()
     if len(lines) > 1:
         raise CliInputError("--file holds more than one graph6 line; count takes "
                             "one graph, and verify --graph6-file sweeps many")

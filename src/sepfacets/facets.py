@@ -346,16 +346,16 @@ def count_facets(g: Graph) -> int:
     return _count_rows(g.adj)
 
 
-def _count_rows(adj: tuple[Mask, ...], block: bool = False) -> int:
-    """count_facets on the rows adj; block says adj is already one block."""
+def _count_rows(adj: tuple[Mask, ...]) -> int:
+    """count_facets on the rows adj; blocks() of a block is the block itself."""
     full = full_mask(len(adj))
     co = complement_rows(adj)
     side = reach(co, 1, full)
     if side != full:
         return _count_join(adj, co, side)
-    parts = [full] if block else blocks(adj)
+    parts = blocks(adj)
     if len(parts) > 1:
-        return prod(_count_rows(induced_rows(adj, b), True) for b in parts)
+        return prod(_count_rows(induced_rows(adj, b)) for b in parts)
     return sum(mu for _, mu in _cuts(adj))
 
 

@@ -1,9 +1,11 @@
 """Simple undirected graphs on 0..n-1 with bitmask vertex sets.
 
-A vertex set is a plain int used as a bitmask, so the hot loops of the
-counting routines (cut enumeration, flood fills, dominating-set scans) are
-single word operations for n <= 64. Graphs are immutable values; every
-operation returns a fresh Graph and validates the invariants on the way in.
+A vertex set is a plain int used as a bitmask, so flood fills, cut scans
+and dominating-set scans are single word operations for n <= 64. Graphs
+are immutable values, validated on the way in. The structure is built on
+components(): bipartition() layers each component, contract_edges() makes
+them the quotient's vertices and blocks() splits them at every vertex.
+suspension() is the join with one vertex.
 """
 
 from __future__ import annotations
@@ -134,34 +136,21 @@ def is_connected(g: Graph) -> bool:
 def bipartition(g: Graph) -> tuple[Mask, Mask] | None:
     """Proper 2-coloring (part0, part1) or None; each component's smallest
     vertex lands in part0, so vertex 0 is always in the first part."""
-    part0 = 0
-    part1 = 0
-    done = 0
-    full = full_mask(g.n)
-    while done != full:
-        seed_bit = (full & ~done) & -(full & ~done)
-        layer = seed_bit
-        seen = layer
+    parts = [0, 0]
+    for comp in components(g.adj):
+        layer = seen = comp & -comp
         color = 0
         while layer:
-            if color == 0:
-                part0 |= layer
-            else:
-                part1 |= layer
+            parts[color] |= layer
             grow = 0
             for v in iter_bits(layer):
                 grow |= g.adj[v]
             layer = grow & ~seen
             seen |= layer
             color ^= 1
-        done |= seen
-    for v in iter_bits(part0):
-        if g.adj[v] & part0:
-            return None
-    for v in iter_bits(part1):
-        if g.adj[v] & part1:
-            return None
-    return part0, part1
+    if any(row & parts[parts[1] >> v & 1] for v, row in enumerate(g.adj)):
+        return None
+    return parts[0], parts[1]
 
 
 def induced_rows(adj: tuple[Mask, ...], s: Mask) -> tuple[Mask, ...]:
@@ -192,30 +181,20 @@ def contract_edges(g: Graph, contract: Iterable[Edge]) -> Graph:
     New vertices are the components of (V, contract), numbered by ascending
     smallest original vertex, which keeps results deterministic.
     """
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    rows = [0] * g.n
     for i, j in contract:
         if not (0 <= i < g.n and 0 <= j < g.n) or not has_edge(g, i, j):
             raise GraphError(f"({i},{j}) is not an edge of the graph")
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    roots = sorted({find(v) for v in range(g.n)})
-    index = {r: k for k, r in enumerate(roots)}
-    rows = [0] * len(roots)
-    for i, j in edges(g):
-        a, b = index[find(i)], index[find(j)]
-        if a != b:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    return Graph(len(roots), tuple(rows))
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    parts = components(rows)
+    quotient = []
+    for p in parts:
+        out = 0
+        for v in iter_bits(p):
+            out |= g.adj[v]
+        quotient.append(sum(1 << k for k, q in enumerate(parts) if q & out & ~p))
+    return Graph(len(parts), tuple(quotient))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -259,10 +238,7 @@ def complement_rows(adj: tuple[Mask, ...] | list[Mask]) -> tuple[Mask, ...]:
 
 def suspension(g: Graph) -> Graph:
     """Add one apex vertex (index n) adjacent to every existing vertex."""
-    apex = g.n
-    rows = [row | bit(apex) for row in g.adj]
-    rows.append(full_mask(g.n))
-    return Graph(g.n + 1, tuple(rows))
+    return join(g, Graph(1, (0,)))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -278,21 +254,13 @@ def one_sum(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     """Glue g2 onto g1 by identifying v2 with v1 (union of edge sets)."""
     _check_vertex(g1, v1)
     _check_vertex(g2, v2)
-    n = g1.n + g2.n - 1
-    remap = {}
-    nxt = g1.n
-    for w in range(g2.n):
-        if w == v2:
-            remap[w] = v1
-        else:
-            remap[w] = nxt
-            nxt += 1
+    label = [g1.n + w - (w > v2) for w in range(g2.n)]
+    label[v2] = v1
     rows = list(g1.adj) + [0] * (g2.n - 1)
     for i, j in edges(g2):
-        a, b = remap[i], remap[j]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return Graph(n, tuple(rows))
+        rows[label[i]] |= 1 << label[j]
+        rows[label[j]] |= 1 << label[i]
+    return Graph(len(rows), tuple(rows))
 
 
 def blocks(adj: tuple[Mask, ...] | list[Mask]) -> list[Mask]:

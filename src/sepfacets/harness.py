@@ -442,8 +442,9 @@ IDENTITY_SUITES = (
 def verify_identities(n_max: int) -> VerificationReport:
     """Run every identity suite over families up to n_max vertices."""
     cap = generator_limit()
-    if n_max > cap:
-        raise GraphError(f"identity sweep limited to n_max <= {cap}")
+    if not 1 <= n_max <= cap:
+        raise GraphError(f"identity sweep needs n_max >= 1, got {n_max}" if n_max < 1
+                         else f"identity sweep limited to n_max <= {cap}")
     start = time.monotonic()
     checked = 0
     violations: list[Violation] = []

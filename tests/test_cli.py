@@ -57,6 +57,12 @@ def test_count_from_files(capsys, tmp_path):
     code, out, err = run(capsys, "count", "--file", str(g6_file))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "verify --graph6-file" in err
+    # a first field that is an integer means an edge list, whatever follows
+    for text, head in (("3 3 x\n0 1\n1 2\n0 2\n", "3 3 x"), ("3\n", "3")):
+        edge_file.write_text(text)
+        code, out, err = run(capsys, "count", "--file", str(edge_file))
+        assert code == 1 and out == ""
+        assert err == f"error: expected 'n m' header, got {head!r}\n"
 
 
 def test_count_method_preconditions(capsys):
@@ -269,6 +275,10 @@ def test_verify_identities_cli(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("SEP_MAX_N", raising=False)
     code, out, err = run(capsys, "verify", "--n", "8", "--identities")
     assert code == 1 and out == "" and "n_max <= 7" in err
+    for n_max in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--n", n_max, "--identities")
+        assert code == 1 and out == ""
+        assert err == f"error: identity sweep needs n_max >= 1, got {n_max}\n"
     # the identity suites have no per-graph rows for a CSV
     csv_path = tmp_path / "rows.csv"
     code, out, err = run(capsys, "verify", "--n", "3", "--identities",
@@ -294,6 +304,10 @@ def test_generate_too_large(capsys, monkeypatch):
     monkeypatch.delenv("SEP_MAX_N", raising=False)
     code, _, err = run(capsys, "generate", "--n", "9")
     assert code == 1 and "graph6" in err
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "generate", "--n", n)
+        assert code == 1 and out == ""
+        assert err == f"error: internal generator needs n >= 1, got {n}\n"
 
 
 def test_unknown_flags_are_input_errors(capsys):

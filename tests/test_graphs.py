@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sepfacets.canon import canonical_form, generate_all
+from sepfacets.canon import canonical_form, generate_all, generate_connected
 from sepfacets.graphs import (
     Graph,
     GraphError,
@@ -33,6 +36,7 @@ from sepfacets.graphs import (
 from conftest import (
     empty_graph,
     graph_strategy,
+    mask_of,
     ref_blocks,
     ref_components,
     ref_is_isomorphic,
@@ -86,6 +90,32 @@ def test_bipartition_examples():
     assert bipartition(complete_bipartite(2, 2)) == (0b0011, 0b1100)
     assert bipartition(K3) is None
     assert bipartition(Graph(1, (0,))) == (1, 0)
+    # components {0, 2, 4} and {1, 3}: each smallest vertex goes to part0
+    assert bipartition(from_edges(5, [(3, 1), (2, 4), (0, 4)])) == (0b00111, 0b11000)
+
+
+def _brute_force_bipartition(g):
+    """Each component's one proper 2-coloring with its smallest vertex at 0,
+    found by trying every coloring of the rest; None if one has none."""
+    part0 = part1 = 0
+    for comp in ref_components(g.n, edges(g)):
+        inside = [(i, j) for i, j in edges(g) if i in comp]
+        for bits in range(1 << (len(comp) - 1)):
+            color = {v: bits >> k & 1 for k, v in enumerate(comp[1:])}
+            color[comp[0]] = 0
+            if all(color[i] != color[j] for i, j in inside):
+                break
+        else:
+            return None
+        part0 |= mask_of(v for v in comp if not color[v])
+        part1 |= mask_of(v for v in comp if color[v])
+    return part0, part1
+
+
+def test_bipartition_matches_brute_force():
+    for n in range(1, 8):
+        for g in generate_all(n):
+            assert bipartition(g) == _brute_force_bipartition(g)
 
 
 def test_induced():
@@ -110,8 +140,36 @@ def test_contract_identity_and_collapse():
 
 
 def test_contract_rejects_non_edges():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"\(0,2\) is not an edge of the graph"):
         contract_edges(path_graph(3), [(0, 2)])
+    with pytest.raises(GraphError, match=r"\(1,3\) is not an edge of the graph"):
+        contract_edges(path_graph(3), [(0, 1), (1, 3)])
+
+
+def _ref_quotient_edges(g, contract):
+    """Edges of the quotient by the components of (V, contract), numbered
+    by smallest member, as sorted pairs."""
+    where = {v: k for k, comp in enumerate(ref_components(g.n, contract)) for v in comp}
+    return sorted({tuple(sorted((where[i], where[j]))) for i, j in edges(g)
+                   if where[i] != where[j]})
+
+
+def test_contract_matches_reference():
+    # the quotients mu_of builds: every edge a cut leaves uncrossed
+    cases = [(g, [(i, j) for i, j in edges(g) if not (part2 >> i ^ part2 >> j) & 1])
+             for n in range(2, 7) for g in generate_connected(n)
+             for part2 in range(2, 1 << n, 2)]
+    rng = random.Random(20261019)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        density, keep = rng.random(), rng.random()
+        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < density])
+        cases.append((g, [e for e in edges(g) if rng.random() < keep]))
+    for g, contract in cases:
+        q = contract_edges(g, contract)
+        assert q.n == len(ref_components(g.n, contract))
+        assert edges(q) == _ref_quotient_edges(g, contract)
 
 
 def test_vertex_removals():
@@ -156,6 +214,12 @@ def test_suspension():
     two_edges = from_edges(4, [(0, 1), (2, 3)])
     bowtie = one_sum(K3, 0, K3, 0)
     assert ref_is_isomorphic(suspension(two_edges), bowtie)
+    # the apex is vertex n, adjacent to all
+    for n in range(1, 7):
+        for g in generate_all(n):
+            apex = 1 << n
+            assert suspension(g) == Graph(n + 1, tuple(row | apex for row in g.adj)
+                                          + (apex - 1,))
 
 
 def test_join():
@@ -174,6 +238,18 @@ def test_one_sum():
     assert ref_is_isomorphic(p3, path_graph(3))
     extremal = one_sum(K4, 0, K3, 0)
     assert extremal.n == 6 and edge_count(extremal) == 9
+    # g2's vertex v2 becomes v1; the others follow g1's vertices in order
+    graphs = [g for n in range(1, 5) for g in generate_connected(n)]
+    for g1, g2 in itertools.product(graphs, repeat=2):
+        for v1, v2 in itertools.product(range(g1.n), range(g2.n)):
+            rest = [w for w in range(g2.n) if w != v2]
+            label = {w: g1.n + k for k, w in enumerate(rest)}
+            label[v2] = v1
+            expected = set(edges(g1)) | {tuple(sorted((label[i], label[j])))
+                                         for i, j in edges(g2)}
+            glued = one_sum(g1, v1, g2, v2)
+            assert glued.n == g1.n + g2.n - 1
+            assert edges(glued) == sorted(expected)
 
 
 @pytest.mark.parametrize("build", [
