@@ -43,9 +43,6 @@ from typing import Iterator
 from .graphs import Graph, GraphError, reach
 from .limits import canonical_limit, generator_limit
 
-CONNECTED_CLASS_COUNTS = (1, 1, 2, 6, 21, 112, 853)
-ALL_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
-
 
 def canonical_form(g: Graph) -> bytes:
     """Certificate bytes: equal iff the graphs are isomorphic."""

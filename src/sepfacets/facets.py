@@ -10,21 +10,23 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   forming a spanning connected subgraph. Differences are enumerated on a
   spanning tree (3^(n-1) candidates) instead of raw values.
 
-* count_facets runs on adjacency rows, builds no Graph and follows one rule
-  chain. A join G1 + G2 (the complement is disconnected), whatever its side
-  sizes, goes to _count_join, which derives from each side's vertex count
-  n_i, component count c_i and domination count N^ (below)
+* count_facets runs on adjacency rows, builds no Graph and makes one flat
+  pass over vertex sets of the input's rows, with one complement. A join
+  G1 + G2 (the complement is disconnected), whatever its side sizes, goes
+  whole to _count_join, which derives from each side's vertex count n_i,
+  component count c_i and domination count N^ (below)
       N = (2^n1 - 2)(2^n2 - 2) - (2^c1 - 2)(2^c2 - 2) + N^(G1) + N^(G2) - 2.
-  Any other graph with a cut vertex is the product of the chain over its
-  blocks, as the count is multiplicative under 1-sums, and any other graph
-  is a cut scan over the bipartitions whose crossing edges span and connect
-  it. Each cut adds the facet count of the bipartite quotient left by
-  contracting the other edges: 2^(q-1) for the star that most cuts give,
-  else a count on bitmasks. Neighbourhoods of vertex sets come from two
-  tables of 2^(n/2) entries (_union_tables). enumerate_facet_subgraphs
-  returns the scan's terms as (part2, mu) pairs, so their sum is the cut
-  count with no join split, and mu_of(g, part2) recounts one cut through
-  contract_edges and count_bipartite_strict.
+  Any other graph is the product over its blocks, as the count is
+  multiplicative under 1-sums. A block that is a join goes to _count_join
+  on the same rows; any other block is relabelled and cut-scanned over the
+  bipartitions whose crossing edges span and connect it. Each cut adds
+  the facet count of the bipartite quotient left by contracting the other
+  edges: 2^(q-1) for the star that most cuts give, else a count on
+  bitmasks. Neighbourhoods of vertex sets come from two tables of 2^(n/2)
+  entries (_union_tables). enumerate_facet_subgraphs returns the scan's
+  terms as (part2, mu) pairs, so their sum is the cut count with no join
+  split, and mu_of(g, part2) recounts one cut through contract_edges and
+  count_bipartite_strict.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph from the dominating sets S of the base, each giving 2^(number of
@@ -336,32 +338,25 @@ def mu_of(g: Graph, part2: Mask) -> int:
 
 
 def count_facets(g: Graph) -> int:
-    """Facet count by one rule chain on adjacency rows: a join G1 + G2 (the
-    complement is disconnected) of any side sizes by _count_join, any other
-    graph with a cut vertex by the product of the chain over its blocks
-    (the count is multiplicative under 1-sums), and any other graph by the
-    sum of its cut multiplicities.
+    """Facet count by one flat pass over vertex sets of g's rows. A join
+    G1 + G2 (the complement is disconnected) of any side sizes is counted
+    whole by _count_join. Any other graph is the product over its blocks
+    (the count is multiplicative under 1-sums), each counted by _count_join
+    when it is a join and else by the sum of its cut multiplicities. The
+    complement rows are built once; only a scanned block is relabelled.
     """
     _require_connected(g)
-    return _count_rows(g.adj)
-
-
-def _count_rows(adj: tuple[Mask, ...]) -> int:
-    """count_facets on the rows adj; blocks() of a block is the block itself."""
-    full = full_mask(len(adj))
+    adj = g.adj
     co = complement_rows(adj)
-    side = reach(co, 1, full)
-    if side != full:
-        return _count_join(adj, co, side)
-    parts = blocks(adj)
-    if len(parts) > 1:
-        return prod(_count_rows(induced_rows(adj, b)) for b in parts)
-    return sum(mu for _, mu in _cuts(adj))
+    return _count_join(adj, co, full_mask(g.n)) or prod(
+        _count_join(adj, co, b) or sum(mu for _, mu in _cuts(induced_rows(adj, b)))
+        for b in blocks(adj))
 
 
-def _count_join(adj: tuple[Mask, ...], co: tuple[Mask, ...], side: Mask) -> int:
-    """Facet count of a connected join g = G1 + G2 with rows adj and
-    complement rows co, G1 = g[side].
+def _count_join(adj: tuple[Mask, ...], co: tuple[Mask, ...], s: Mask) -> int | None:
+    """Facet count of g = adj[s], for a connected set s, when g is a join
+    G1 + G2, else None; co holds the complement rows of adj. G1 is the
+    complement component of s's smallest vertex and G2 the rest of s.
 
     With n_i vertices and c_i components in G_i, and N^(H) the count of
     count_suspension_via_domination(H), the count is
@@ -390,7 +385,10 @@ def _count_join(adj: tuple[Mask, ...], co: tuple[Mask, ...], side: Mask) -> int:
 
     The D_i cancel in the total.
     """
-    rest = full_mask(len(adj)) ^ side
+    side = reach(co, s & -s, s)
+    if side == s:
+        return None
+    rest = s ^ side
     n1, n2 = side.bit_count(), rest.bit_count()
     parts1, parts2 = components(adj, side), components(adj, rest)
     c1, c2 = len(parts1), len(parts2)

@@ -7,13 +7,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from sepfacets import canon
-from sepfacets.canon import (
-    ALL_CLASS_COUNTS,
-    CONNECTED_CLASS_COUNTS,
-    canonical_form,
-    generate_all,
-    generate_connected,
-)
+from sepfacets.canon import canonical_form, generate_all, generate_connected
 from sepfacets.formats import emit_graph6
 from sepfacets.graphs import (
     GraphError,
@@ -35,6 +29,11 @@ from conftest import (
     ref_orbit_minima,
     relabel,
 )
+
+# Isomorphism classes of connected graphs and of all graphs on n = 1..7
+# vertices (OEIS A001349 and A000088).
+CONNECTED_CLASS_COUNTS = (1, 1, 2, 6, 21, 112, 853)
+ALL_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
 
 # Twin-heavy graphs up to n = 7: the orderings the twin pruning skips.
 TWIN_HEAVY = (
@@ -261,3 +260,6 @@ def test_env_override_controls_caps(monkeypatch):
     assert max_vertices() == 64
     monkeypatch.setenv("SEP_MAX_N", "100")
     assert max_vertices() == 100
+    monkeypatch.setenv("SEP_MAX_N", "abc")
+    with pytest.raises(ValueError, match="^SEP_MAX_N must be an integer, got 'abc'$"):
+        max_vertices()

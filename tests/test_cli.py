@@ -249,6 +249,10 @@ def test_verify_file_with_no_parsing_line(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--graph6-file", str(path))
     assert code == 1 and out == ""
     assert err == "error: nonzero padding bits in the last graph6 byte\n"
+    path.write_text("\n  \n")
+    code, out, err = run(capsys, "verify", "--graph6-file", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: graph6 file is empty\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -259,13 +263,21 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
 
 
 def test_verify_violation_exit_code(capsys, monkeypatch):
-    # impossible bracket, so every graph violates; exercises the exit path
+    # a bracket above every count, so every graph violates; exercises the exit path
     monkeypatch.setattr("sepfacets.harness.conjecture_bounds",
                         lambda n: BoundPair(10**9, 10**9, "odd", n))
     code, out, _ = run(capsys, "verify", "--n", "3")
     assert code == 2
     assert "violations=2" in out.splitlines()[0]
     assert any(ln.startswith("violation ") for ln in out.splitlines())
+    # a bracket below every count: each graph breaks the upper bound
+    monkeypatch.setattr("sepfacets.harness.conjecture_bounds",
+                        lambda n: BoundPair(1, 1, "odd", n))
+    code, out, _ = run(capsys, "verify", "--n", "3")
+    assert code == 2
+    assert out.splitlines() == [
+        "conjecture n=3 graphs_checked=2 violations=2 extremal_hits=0",
+        "violation Bo upper 4", "violation Bw upper 6"]
 
 
 def test_verify_identities_cli(capsys, monkeypatch, tmp_path):
@@ -285,6 +297,12 @@ def test_verify_identities_cli(capsys, monkeypatch, tmp_path):
                          "--csv", str(csv_path))
     assert code == 1 and out == "" and err.startswith("error: ")
     assert "--csv" in err and not csv_path.exists()
+    # the identity suites run on generated families, not on a file
+    path = tmp_path / "graphs.g6"
+    path.write_text("Bw\n")
+    code, out, err = run(capsys, "verify", "--identities", "--graph6-file", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: --identities runs on generated families; use --n\n"
     # the identity suites run in one process
     for jobs in ("4", "0"):
         code, out, err = run(capsys, "verify", "--n", "3", "--identities", "--jobs", jobs)

@@ -412,6 +412,28 @@ def test_cones_skip_blocks(monkeypatch):
     assert calls == []
 
 
+def test_count_facets_decomposes_once(monkeypatch):
+    # one complement and at most one blocks() call per graph, however its
+    # blocks nest: each block is counted on the graph's own rows
+    calls = Counter()
+
+    def counted(name):
+        f = getattr(facets, name)
+        monkeypatch.setattr(facets, name, lambda rows: calls.update([name]) or f(rows))
+
+    counted("blocks")
+    counted("complement_rows")
+    c5 = cycle_graph(5)
+    for g, count, split in [
+        (one_sum(one_sum(c5, 0, c5, 0), 0, complete_graph(3), 0), 5400, 1),
+        (c5, 30, 1),
+        (complete_bipartite(3, 3), 14, 0),
+    ]:
+        calls.clear()
+        assert count_facets(g) == count
+        assert (calls["blocks"], calls["complement_rows"]) == (split, 1)
+
+
 def test_join_floods_each_set_once(monkeypatch):
     # _count_join hands each side's components to the domination walk, which
     # must not flood that side again

@@ -56,7 +56,7 @@ def test_long_form_for_63_vertices():
         assert parse_graph6(line) == g and emit_graph6(parse_graph6(line)) == line
 
 
-def test_malformed_inputs():
+def test_malformed_inputs(monkeypatch):
     with pytest.raises(FormatError):
         parse_graph6("")
     with pytest.raises(FormatError):
@@ -73,6 +73,14 @@ def test_malformed_inputs():
     for line in ("~??Bw", "~??C~"):
         with pytest.raises(FormatError, match="below 63"):
             parse_graph6(line)
+    with pytest.raises(FormatError, match="^graph6 sizes above 258047 are not supported$"):
+        parse_graph6("~~")
+    with pytest.raises(FormatError, match="^truncated graph6 size block$"):
+        parse_graph6("~?")
+    # the empty graph on 65 vertices: size block ~?@@, then 2080 zero bits
+    monkeypatch.delenv("SEP_MAX_N", raising=False)
+    with pytest.raises(FormatError, match=r"^vertex count 65 outside \[1, 64\]$"):
+        parse_graph6("~?@@" + "?" * 347)
 
 
 def test_nonzero_padding_is_refused():
@@ -102,5 +110,9 @@ def test_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")  # declared 2 edges, found 1
     with pytest.raises(FormatError):
         parse_edge_list("3 1\n0 x\n")
+    with pytest.raises(FormatError, match="^non-integer header 'x 1'$"):
+        parse_edge_list("x 1\n0 1")
+    with pytest.raises(FormatError, match="^expected 'i j' edge line, got '0 1 1'$"):
+        parse_edge_list("2 1\n0 1 1")
     with pytest.raises(FormatError):
         parse_edge_spec("3 1;0 0")  # loop

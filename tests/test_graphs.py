@@ -75,6 +75,17 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("n, adj, message", [
+    (3, (0, 0), "adjacency row count does not match n"),
+    (2, (4, 0), "adjacency row 0 has bits >= n"),
+    (2, (1, 0), "loop at vertex 0"),
+    (2, (2, 0), r"asymmetric edge \(0,1\)"),
+])
+def test_graph_rejects_bad_rows(n, adj, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        Graph(n, adj)
+
+
 def test_components_examples():
     assert is_connected(K3)
     assert len(components(K3.adj)) == 1
