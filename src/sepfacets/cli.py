@@ -35,7 +35,6 @@ from .formulas import (
 )
 from .graphs import (
     Graph,
-    GraphError,
     delete_vertex,
     edges,
     full_mask,
@@ -269,7 +268,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except (CliInputError, GraphError, FormatError, ValueError, OSError) as exc:
+    except (CliInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

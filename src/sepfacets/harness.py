@@ -112,7 +112,7 @@ def _conjecture_task(args: tuple[str, BoundPair]) -> tuple[SweepRow, str | None]
         else:
             return SweepRow(g6, bounds.n, count_facets(g), bounds.lower, bounds.upper,
                             classify_extremal(g)), None
-    except (GraphError, ValueError) as exc:
+    except ValueError as exc:
         reason = str(exc)
     return SweepRow(g6, bounds.n, None, bounds.lower, bounds.upper, "input_error"), reason
 

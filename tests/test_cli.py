@@ -1,10 +1,6 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -147,18 +143,6 @@ def test_facets_subgraph_tables_are_pinned(capsys):
     assert digest == "89ec340325221343b1180a70e188592e6bba70b2d78169f6cc376d7f9e2a9f6e"
 
 
-def test_sweep_script_reports_refused_n():
-    # Without SEP_MAX_N the generator refuses n = 8; the script says so on
-    # stderr and exits 1 instead of raising.
-    env = {k: v for k, v in os.environ.items() if k != "SEP_MAX_N"}
-    script = Path(__file__).resolve().parent.parent / "scripts" / "conjecture_sweep.py"
-    proc = subprocess.run([sys.executable, str(script), "--n-min", "8", "--n-max", "8"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr == ("error: internal generator limited to n <= 7; "
-                           "ingest graph6 for larger n\n")
-
-
 def test_build_commands(capsys):
     code, out, _ = run(capsys, "build", "--suspension", "A_")
     assert code == 0 and out == "Bw\n"
@@ -260,6 +244,14 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
     code, out, err = run(capsys, "verify", "--n", "4", "--jobs", jobs)
     assert code == 1 and out == ""
     assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+def test_verify_refuses_n_above_the_generator_cap(capsys, monkeypatch):
+    monkeypatch.delenv("SEP_MAX_N", raising=False)
+    code, out, err = run(capsys, "verify", "--n", "8")
+    assert code == 1 and out == ""
+    assert err == ("error: internal generator limited to n <= 7; "
+                   "ingest graph6 for larger n\n")
 
 
 def test_verify_violation_exit_code(capsys, monkeypatch):

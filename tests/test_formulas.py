@@ -66,6 +66,8 @@ def test_complete_multipartite_formula():
     assert count_facets(complete_multipartite([1, 1, 2])) == 12
     with pytest.raises(ValueError):
         n_complete_multipartite([2, 3])
+    with pytest.raises(ValueError, match="^part sizes must be positive$"):
+        n_complete_multipartite([1, 0, 2])
 
 
 def test_complete_graph_closed_form():

@@ -14,11 +14,13 @@ from sepfacets.graphs import (
     complement_rows,
     complete_bipartite,
     complete_graph,
+    complete_multipartite,
     components,
     contract_edges,
     contract_vertex,
     cycle_graph,
     delete_closed_neighborhood,
+    delete_edge,
     delete_vertex,
     edge_count,
     edges,
@@ -135,6 +137,8 @@ def test_induced():
     assert edge_count(induced(p, 0b101)) == 0
     with pytest.raises(GraphError):
         induced(K4, 0)
+    with pytest.raises(GraphError, match="^vertex set has bits outside the graph$"):
+        induced(K3, 0b1000)
 
 
 def test_contract_example_graph():
@@ -155,6 +159,8 @@ def test_contract_rejects_non_edges():
         contract_edges(path_graph(3), [(0, 2)])
     with pytest.raises(GraphError, match=r"\(1,3\) is not an edge of the graph"):
         contract_edges(path_graph(3), [(0, 1), (1, 3)])
+    with pytest.raises(GraphError, match=r"^\(0,2\) is not an edge of the graph$"):
+        delete_edge(path_graph(3), 0, 2)
 
 
 def _ref_quotient_edges(g, contract):
@@ -192,6 +198,13 @@ def test_vertex_removals():
                              Graph(1, (0,)))
     with pytest.raises(GraphError):
         delete_closed_neighborhood(K3, 0)
+    k1 = Graph(1, (0,))
+    with pytest.raises(GraphError, match="^cannot delete the last vertex$"):
+        delete_vertex(k1, 0)
+    with pytest.raises(GraphError, match="^cannot contract the last vertex$"):
+        contract_vertex(k1, 0)
+    with pytest.raises(GraphError, match="^vertex 5 out of range for n=3$"):
+        delete_vertex(K3, 5)
 
 
 def test_vertex_removals_on_hub_and_rim_graph():
@@ -274,6 +287,13 @@ def test_constructors_refuse_results_over_the_cap(monkeypatch, build):
         build()
     monkeypatch.setenv("SEP_MAX_N", "65")
     assert build().n == 65
+
+
+def test_named_families_refuse_bad_sizes():
+    with pytest.raises(GraphError, match="^part sizes must be positive$"):
+        complete_multipartite([2, 0])
+    with pytest.raises(GraphError, match="^cycles need at least 3 vertices$"):
+        cycle_graph(2)
 
 
 def test_blocks_bowtie():

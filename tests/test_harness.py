@@ -312,3 +312,32 @@ def test_identities_report_every_failed_check(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "identities n_max=4 checks=108 violations=77"
     assert out[1:] == [f"violation {line}" for line in lines]
+
+
+# (harness name, its planted replacement, suite, bound, checks at n_max = 4):
+# each fault makes every case of the suite fail the bound.
+PLANTED_FAULTS = [
+    ("count_facets", lambda g: count_facets(g) + 2,
+     "route_equivalence", "route_equivalence", 9),
+    ("count_suspension_via_domination",
+     lambda g: facets.count_suspension_via_domination(g) + 2,
+     "suspension_domination", "suspension_domination", 7),
+    ("mu_of", lambda g, part2: facets.mu_of(g, part2) + 2,
+     "decomposition_sanity", "mu_sanity", 9),
+    ("cached_count_facets", lambda g: 2 * sum(row.bit_count() for row in g.adj),
+     "bipartite_monotonicity", "bipartite_monotonicity", 4),
+    ("cached_count_facets", lambda g: 0, "bipartite_minimum", "bipartite_minimum", 5),
+    ("cached_count_facets", lambda g: 0, "suspension_bounds", "suspension_lower", 7),
+    ("join_upper_bound", lambda *args: 0, "join_bounds", "join_upper_bound", 17),
+    ("cached_count_facets", lambda g: g.n, "double_suspension", "double_suspension", 2),
+]
+
+
+@pytest.mark.parametrize("name, fault, suite, bound, checks", PLANTED_FAULTS,
+                         ids=[bound for _, _, _, bound, _ in PLANTED_FAULTS])
+def test_planted_fault_fails_every_case(monkeypatch, name, fault, suite, bound, checks):
+    monkeypatch.setattr(f"sepfacets.harness.{name}", fault)
+    run = next(s for s in IDENTITY_SUITES if s.name == suite)
+    checked, bad = run(4)
+    assert checked == checks
+    assert sum(v.bound == bound for v in bad) == checks
