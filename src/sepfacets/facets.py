@@ -7,8 +7,13 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
 * enumerate_facets_oracle walks integer vertex labelings directly. A facet
   corresponds to a labeling f with f fixed to 0 at vertex 0, |f(i)-f(j)| <= 1
   on every edge, and the set of edges where the difference is exactly 1
-  forming a spanning connected subgraph. Differences are enumerated on a
-  spanning tree (3^(n-1) candidates) instead of raw values.
+  forming a spanning connected subgraph. Differences are chosen on a
+  spanning tree (at most 3^(n-1) candidates) instead of raw values, depth
+  first in BFS order, so a labelled prefix is shared by its completions
+  and dropped with them when a non-tree edge fails. Because f differs by
+  0 or 1 on every edge, the strict edges are the edges across the parity
+  cut of f, so grouping the labelings by their odd-labelled vertices gives
+  the cuts of route 2 with their multiplicities.
 
 * count_facets runs on adjacency rows, builds no Graph and makes one flat
   pass over vertex sets of the input's rows, with one complement. A join
@@ -25,8 +30,8 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   bitmasks. Neighbourhoods of vertex sets come from two tables of 2^(n/2)
   entries (_union_tables). enumerate_facet_subgraphs returns the scan's
   terms as (part2, mu) pairs, so their sum is the cut count with no join
-  split, and mu_of(g, part2) recounts one cut through contract_edges and
-  count_bipartite_strict.
+  split. mu_of(g, part2) recounts one cut through contract_edges and
+  count_bipartite_strict, which labels with the oracle's enumerator.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph from the dominating sets S of the base, each giving 2^(number of
@@ -39,9 +44,9 @@ The two leaf counts of routes 2 and 3, _strict_labelings on a quotient's
 neighbour masks and _component_power_sum on a scanned set's rows, are pure
 functions of tuples that recur across cuts and graphs, so each keeps an
 lru_cache bounded at 2^16 entries and counts each distinct tuple once per
-process. The references they are checked against, mu_of,
-count_bipartite_strict and enumerate_facets_oracle, stay uncached, so a
-wrong cached value cannot reach both sides of a check.
+process. The references they are checked against, the oracle's parity
+classes, mu_of and count_bipartite_strict, share neither cache nor code
+with them, so a wrong cached value cannot reach both sides of a check.
 
 Scans over more than MAX_SCAN_VERTICES vertices, and oracle runs over more
 than MAX_ORACLE_VERTICES, are refused with GraphError.
@@ -50,9 +55,8 @@ than MAX_ORACLE_VERTICES, are refused with GraphError.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import prod
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import (
     Edge,
@@ -98,23 +102,44 @@ def _bfs_tree(g: Graph) -> list[Edge]:
     return tree
 
 
-def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int]) -> Iterator[list[int]]:
-    """Labelings with value 0 at vertex 0, one per choice of a step from
-    steps on each spanning-tree edge, kept when every non-tree edge joins
-    labels whose distance is in gaps. The yielded list is reused.
+def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
+                    leaf: Callable[[list[int]], None]) -> int:
+    """Call leaf(values) on each labeling with value 0 at vertex 0 that
+    takes a step from steps along every spanning-tree edge and a distance
+    in gaps across every other edge, and return how many there are;
+    values[v] is the label of v, and the list is reused.
+
+    Vertices are labelled depth first in BFS order, each from its tree
+    parent, so every completion of a labelled prefix shares it. A non-tree
+    edge is tested as soon as its later endpoint gets a label, so a prefix
+    that fails is dropped with all its completions.
     """
-    tree = _bfs_tree(g)
-    tree_set = {(min(e), max(e)) for e in tree}
-    rest = [e for e in edges(g) if e not in tree_set]
+    placed = 1
+    frames = []
+    for p, c in _bfs_tree(g):
+        frames.append((c, p, [u for u in iter_bits(g.adj[c] & placed) if u != p]))
+        placed |= 1 << c
     values = [0] * g.n
-    for diffs in product(steps, repeat=g.n - 1):
-        for (p, c), d in zip(tree, diffs):
-            values[c] = values[p] + d
-        for i, j in rest:
-            if abs(values[i] - values[j]) not in gaps:
-                break
-        else:
-            yield values
+    last = len(frames) - 1
+
+    def label(i: int) -> int:
+        v, p, earlier = frames[i]
+        total = 0
+        for d in steps:
+            x = values[p] + d
+            for u in earlier:
+                if abs(values[u] - x) not in gaps:
+                    break
+            else:
+                values[v] = x
+                if i == last:
+                    leaf(values)
+                    total += 1
+                else:
+                    total += label(i + 1)
+        return total
+
+    return label(0)
 
 
 def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
@@ -124,7 +149,9 @@ def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
     Each spanning-tree edge gets a difference in {-1, 0, +1}; the root value
     is 0, so every labeling satisfying the edge condition appears exactly
     once. Candidates are kept when every non-tree edge differs by at most 1
-    and the strict edges span and connect the graph. A graph on more than
+    and the strict edges span and connect the graph: a flood from vertex 0
+    along the rows adj[v] & ~same[values[v]], where same[x] holds the
+    vertices labelled x, must reach every vertex. A graph on more than
     MAX_ORACLE_VERTICES vertices (3^21 or more candidates) is refused.
     """
     _require_connected(g)
@@ -133,18 +160,30 @@ def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
         raise GraphError(
             f"a {n}-vertex graph is too large for the labeling oracle: 3^{n - 1} "
             f"labelings (the oracle takes at most {MAX_ORACLE_VERTICES} vertices)")
-    all_edges = edges(g)
+    adj = g.adj
     full = full_mask(n)
-
     found = []
-    for values in _tree_labelings(g, (-1, 0, 1), {0, 1}):
-        rows = [0] * n
-        for i, j in all_edges:
-            if values[i] != values[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        if reach(rows, 1, full) == full:
+
+    def keep(values: list[int]) -> None:
+        # Labels lie in [1 - n, n - 1], so a negative label indexes same
+        # from its end without meeting a nonnegative one.
+        same = [0] * (2 * n - 1)
+        for v, x in enumerate(values):
+            same[x] |= 1 << v
+        seen = frontier = 1
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                grow |= adj[v] & ~same[values[v]]
+                frontier ^= low
+            frontier = grow & ~seen
+            seen |= frontier
+        if seen == full:
             found.append(tuple(values))
+
+    _tree_labelings(g, (-1, 0, 1), {0, 1}, keep)
     return sorted(found)
 
 
@@ -160,8 +199,9 @@ def _strict_labelings(nbrs: tuple[Mask, ...]) -> int:
     each of its q - 1 edges picks a sign freely.
 
     Cached on nbrs: the same quotient recurs across the cuts of one graph
-    and across graphs. mu_of and count_bipartite_strict recount a cut with
-    no cache and no shared code, so they still check each cached value.
+    and across graphs. The oracle's parity classes, and mu_of with
+    count_bipartite_strict, recount a cut with no shared cache or code, so
+    they still check each cached value.
     """
     q = len(nbrs)
     if sum(row.bit_count() for row in nbrs) == 2 * (q - 1):
@@ -314,10 +354,12 @@ def mu_of(g: Graph, part2: Mask) -> int:
     """Number of facets sharing the cut with vertex set part2, recomputed
     from g.
 
-    This is the independent reference for the multiplicities of
-    enumerate_facet_subgraphs: it contracts the non-crossing edges into a
-    quotient Graph (contract_edges) and counts its strict labelings by sign
-    enumeration (count_bipartite_strict). part2 must be a nonempty set of
+    An independent reference for the multiplicities of
+    enumerate_facet_subgraphs, kept for the tests (the identity sweep
+    checks mu against the oracle's parity classes instead): it contracts
+    the non-crossing edges into a quotient Graph (contract_edges) and
+    counts its strict labelings by sign enumeration
+    (count_bipartite_strict). part2 must be a nonempty set of
     vertices of g without vertex 0, and its crossing edges must span and
     connect g.
     """
@@ -399,8 +441,9 @@ def _count_join(adj: tuple[Mask, ...], co: tuple[Mask, ...], s: Mask) -> int | N
 def count_bipartite_strict(b: Graph) -> int:
     """Labelings of a connected bipartite graph that are strict on every edge.
 
-    Signs are chosen on a spanning tree (2^(n-1) candidates); a candidate
-    survives when every non-tree edge also differs by exactly 1. For a
+    Signs are chosen on a spanning tree (at most 2^(n-1) candidates) by
+    the oracle's depth-first labeler; a prefix survives while every
+    non-tree edge between its vertices differs by exactly 1. For a
     bipartite graph this equals its facet count. Graphs on more than
     MAX_SCAN_VERTICES vertices are refused.
     """
@@ -410,7 +453,7 @@ def count_bipartite_strict(b: Graph) -> int:
     _require_connected(b)
     if bipartition(b) is None:
         raise GraphError("strict counting requires a bipartite graph")
-    return sum(1 for _ in _tree_labelings(b, (-1, 1), {1}))
+    return _tree_labelings(b, (-1, 1), {1}, lambda values: None)
 
 
 def count_suspension_via_domination(g: Graph) -> int:

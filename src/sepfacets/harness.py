@@ -7,8 +7,11 @@ equivalence, suspension formulas, closed forms, 1-sum products, join and
 bipartite bounds) from IDENTITY_SUITES, a table of family x property rows: a
 family generates the cases up to n_max vertices, a property yields what each
 case breaks, and one runner counts the checks and names the violations.
-Violations are data, not crashes: both sweeps return reports and leave
-judgment to the caller.
+The labeling oracle runs once per connected class: its labelings, tallied
+by their odd-labelled vertices, check both the facet count (route
+equivalence) and every cut multiplicity of the cut scan (decomposition
+sanity). Violations are data, not crashes: both sweeps return reports and
+leave judgment to the caller.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from multiprocessing import Pool
@@ -27,7 +31,6 @@ from .facets import (
     count_suspension_via_domination,
     enumerate_facet_subgraphs,
     enumerate_facets_oracle,
-    mu_of,
     subgraph_component_value,
 )
 from .formats import GRAPH6_HEADER, emit_graph6, parse_graph6
@@ -46,6 +49,7 @@ from .formulas import (
 from .graphs import (
     Graph,
     GraphError,
+    Mask,
     bipartition,
     complete_bipartite,
     complete_multipartite,
@@ -100,6 +104,22 @@ def cached_count_facets(g: Graph) -> int:
     return count_facets(g)
 
 
+@lru_cache(maxsize=1 << 16)
+def _parity_tally(g: Graph) -> tuple[tuple[Mask, int], ...]:
+    """The labelings of enumerate_facets_oracle(g) counted by the set of
+    vertices with an odd label, as (part2, count) pairs in ascending part2
+    order; the labelings themselves are not kept.
+
+    A facet labeling differs by 0 or 1 on every edge, so its strict edges
+    are exactly the edges across its parity cut, vertex 0 (label 0) on the
+    even side. Each cut of enumerate_facet_subgraphs(g) is therefore one
+    parity class, and its mu is the class's count.
+    """
+    tally = Counter(sum(1 << v for v, x in enumerate(values) if x & 1)
+                    for values in enumerate_facets_oracle(g))
+    return tuple(sorted(tally.items()))
+
+
 def _conjecture_task(args: tuple[str, BoundPair]) -> tuple[SweepRow, str | None]:
     """The row of one graph6 line, stripped of whitespace and header, and
     why the graph was refused (None if it was counted)."""
@@ -128,9 +148,9 @@ def sweep_conjecture(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.monotonic()
+    bounds = conjecture_bounds(n)
     if graphs is None:
         graphs = generate_connected(n)
-    bounds = conjecture_bounds(n)
     tasks = [(g if isinstance(g, str) else emit_graph6(g), bounds) for g in graphs]
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -307,7 +327,7 @@ def _base_vertices(n_max: int) -> Iterator[tuple]:
 
 
 def _route_equivalence(g: Graph) -> Iterator[tuple[str, int]]:
-    oracle = len(enumerate_facets_oracle(g))
+    oracle = sum(count for _, count in _parity_tally(g))
     decomposed = count_facets(g)
     if oracle != decomposed:
         yield "route_equivalence", decomposed
@@ -343,8 +363,12 @@ def _bipartite_minimum(g: Graph) -> Iterator[tuple[str, int]]:
 
 
 def _decomposition_sanity(g: Graph) -> Iterator[tuple[str, int]]:
-    for part2, mu in enumerate_facet_subgraphs(g):
-        if mu < 2 or mu % 2 != 0 or mu_of(g, part2) != mu:
+    # A parity class the cut scan lacks counts as a cut with mu 0.
+    kernel = dict(enumerate_facet_subgraphs(g))
+    oracle = dict(_parity_tally(g))
+    for part2 in sorted(kernel.keys() | oracle.keys()):
+        mu = kernel.get(part2, 0)
+        if mu < 2 or mu % 2 != 0 or oracle.get(part2) != mu:
             yield "mu_sanity", mu
             return
 

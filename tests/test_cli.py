@@ -254,6 +254,13 @@ def test_verify_refuses_n_above_the_generator_cap(capsys, monkeypatch):
                    "ingest graph6 for larger n\n")
 
 
+@pytest.mark.parametrize("n", ["2", "1", "0", "-3"])
+def test_verify_refuses_n_below_three_by_the_bounds(capsys, n):
+    code, out, err = run(capsys, "verify", "--n", n)
+    assert code == 1 and out == ""
+    assert err == "error: bounds are stated for n >= 3\n"
+
+
 def test_verify_violation_exit_code(capsys, monkeypatch):
     # a bracket above every count, so every graph violates; exercises the exit path
     monkeypatch.setattr("sepfacets.harness.conjecture_bounds",

@@ -65,8 +65,14 @@ def test_oracle_small_complete():
 
 
 def test_oracle_matches_reference_enumeration():
-    for g in (complete_graph(3), complete_graph(4), EXAMPLE, cycle_graph(5)):
-        assert enumerate_facets_oracle(g) == sorted(ref_facet_vectors(g.n, edges(g)))
+    # every connected class on 2..5 vertices, against raw-value enumeration;
+    # the bipartite ones also through the sign enumeration of strict counting
+    for n in range(2, 6):
+        for g in generate_connected(n):
+            vectors = sorted(ref_facet_vectors(g.n, edges(g)))
+            assert enumerate_facets_oracle(g) == vectors
+            if bipartition(g) is not None:
+                assert count_bipartite_strict(g) == len(vectors)
 
 
 def test_oracle_rejects_disconnected():
@@ -279,6 +285,21 @@ def test_quotients_are_connected_bipartite():
                 assert bipartition(quotient) is not None
                 assert mu == count_bipartite_strict(quotient)
             assert count_facets(g) == sum(mu for _, mu in subs)
+
+
+def test_cut_multiplicities_are_oracle_parity_classes():
+    # A facet labeling differs by 0 or 1 on every edge, so its strict edges
+    # are the edges across its parity cut: mu(part2) is the number of oracle
+    # labelings whose odd-labelled vertices are part2. Up to 6 vertices each
+    # cut is also recounted by mu_of (contract_edges, count_bipartite_strict).
+    for n in range(2, 8):
+        for g in generate_connected(n):
+            tally = Counter(mask_of(v for v, x in enumerate(values) if x % 2)
+                            for values in enumerate_facets_oracle(g))
+            cuts = enumerate_facet_subgraphs(g)
+            assert cuts == sorted(tally.items())
+            if n <= 6:
+                assert all(mu_of(g, part2) == mu for part2, mu in cuts)
 
 
 def test_large_quotients_match_mu_of(monkeypatch):

@@ -322,7 +322,10 @@ PLANTED_FAULTS = [
     ("count_suspension_via_domination",
      lambda g: facets.count_suspension_via_domination(g) + 2,
      "suspension_domination", "suspension_domination", 7),
-    ("mu_of", lambda g, part2: facets.mu_of(g, part2) + 2,
+    ("enumerate_facets_oracle", lambda g: facets.enumerate_facets_oracle(g)[1:],
+     "route_equivalence", "route_equivalence", 9),
+    ("enumerate_facet_subgraphs",
+     lambda g: [(part2, mu + 2) for part2, mu in facets.enumerate_facet_subgraphs(g)],
      "decomposition_sanity", "mu_sanity", 9),
     ("cached_count_facets", lambda g: 2 * sum(row.bit_count() for row in g.adj),
      "bipartite_monotonicity", "bipartite_monotonicity", 4),
@@ -333,9 +336,18 @@ PLANTED_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("name, fault, suite, bound, checks", PLANTED_FAULTS,
-                         ids=[bound for _, _, _, bound, _ in PLANTED_FAULTS])
+# Each fault is named by its bound; a second fault on one bound adds the
+# name it replaces.
+FAULT_IDS: list[str] = []
+for name, _, _, bound, _ in PLANTED_FAULTS:
+    FAULT_IDS.append(f"{bound}-{name}" if bound in FAULT_IDS else bound)
+
+
+@pytest.mark.parametrize("name, fault, suite, bound, checks", PLANTED_FAULTS, ids=FAULT_IDS)
 def test_planted_fault_fails_every_case(monkeypatch, name, fault, suite, bound, checks):
+    # Tally uncached: a tally cached by earlier tests would hide the fault,
+    # and one cached under the fault would reach later tests.
+    monkeypatch.setattr("sepfacets.harness._parity_tally", harness._parity_tally.__wrapped__)
     monkeypatch.setattr(f"sepfacets.harness.{name}", fault)
     run = next(s for s in IDENTITY_SUITES if s.name == suite)
     checked, bad = run(4)
