@@ -59,12 +59,10 @@ from math import prod
 from typing import Callable, Iterator
 
 from .graphs import (
-    Edge,
     Graph,
     GraphError,
     Mask,
     bipartition,
-    bit,
     blocks,
     complement_rows,
     components,
@@ -86,22 +84,6 @@ def _require_connected(g: Graph) -> None:
         raise GraphError("disconnected")
 
 
-def _bfs_tree(g: Graph) -> list[Edge]:
-    """Spanning tree edges as (parent, child), parents discovered first."""
-    seen = 1
-    order = [0]
-    tree = []
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for w in iter_bits(g.adj[u] & ~seen):
-            seen |= bit(w)
-            order.append(w)
-            tree.append((u, w))
-    return tree
-
-
 def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
                     leaf: Callable[[list[int]], None]) -> int:
     """Call leaf(values) on each labeling with value 0 at vertex 0 that
@@ -114,11 +96,16 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
     edge is tested as soon as its later endpoint gets a label, so a prefix
     that fails is dropped with all its completions.
     """
-    placed = 1
+    # (vertex, tree parent, non-tree neighbours labelled earlier), in BFS
+    # order: the vertices discovered before c are the ones labelled first.
+    seen = 1
+    order = [0]
     frames = []
-    for p, c in _bfs_tree(g):
-        frames.append((c, p, [u for u in iter_bits(g.adj[c] & placed) if u != p]))
-        placed |= 1 << c
+    for p in order:
+        for c in iter_bits(g.adj[p] & ~seen):
+            frames.append((c, p, [u for u in iter_bits(g.adj[c] & seen) if u != p]))
+            seen |= 1 << c
+            order.append(c)
     values = [0] * g.n
     last = len(frames) - 1
 
