@@ -48,8 +48,8 @@ process. The references they are checked against, the oracle's parity
 classes, mu_of and count_bipartite_strict, share neither cache nor code
 with them, so a wrong cached value cannot reach both sides of a check.
 
-Scans over more than MAX_SCAN_VERTICES vertices, and oracle runs over more
-than MAX_ORACLE_VERTICES, are refused with GraphError.
+Scans over more than MAX_SCAN_VERTICES vertices, and oracle or strict
+labeler runs over more than MAX_ORACLE_VERTICES, are refused with GraphError.
 """
 
 from __future__ import annotations
@@ -431,12 +431,13 @@ def count_bipartite_strict(b: Graph) -> int:
     Signs are chosen on a spanning tree (at most 2^(n-1) candidates) by
     the oracle's depth-first labeler; a prefix survives while every
     non-tree edge between its vertices differs by exactly 1. For a
-    bipartite graph this equals its facet count. Graphs on more than
-    MAX_SCAN_VERTICES vertices are refused.
+    bipartite graph this equals its facet count. A tree keeps all 2^(n-1)
+    choices, each a leaf of the labeler, so graphs on more than
+    MAX_ORACLE_VERTICES vertices, the oracle's cap, are refused.
     """
-    if b.n > MAX_SCAN_VERTICES:
+    if b.n > MAX_ORACLE_VERTICES:
         raise GraphError(f"a {b.n}-vertex graph is too large for strict counting: "
-                         f"2^{b.n - 1} sign choices (at most {MAX_SCAN_VERTICES} vertices)")
+                         f"2^{b.n - 1} sign choices (at most {MAX_ORACLE_VERTICES} vertices)")
     _require_connected(b)
     if bipartition(b) is None:
         raise GraphError("strict counting requires a bipartite graph")

@@ -7,11 +7,12 @@ equivalence, suspension formulas, closed forms, 1-sum products, join and
 bipartite bounds) from IDENTITY_SUITES, a table of family x property rows: a
 family generates the cases up to n_max vertices, a property yields what each
 case breaks, and one runner counts the checks and names the violations.
-The labeling oracle runs once per connected class: its labelings, tallied
-by their odd-labelled vertices, check both the facet count (route
-equivalence) and every cut multiplicity of the cut scan (decomposition
-sanity). Violations are data, not crashes: both sweeps return reports and
-leave judgment to the caller.
+The labeling oracle runs once per connected class, inside decomposition
+sanity: its labelings, tallied by their odd-labelled vertices, check every
+cut multiplicity of the cut scan, and so the cut sum. Route equivalence
+compares count_facets (join formula and block product) with that cut sum
+of the whole graph. Violations are data, not crashes: both sweeps return
+reports and leave judgment to the caller.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .formulas import (
 from .graphs import (
     Graph,
     GraphError,
-    Mask,
     bipartition,
     complete_bipartite,
     complete_multipartite,
@@ -102,22 +102,6 @@ class ConjectureSweep:
 @lru_cache(maxsize=1 << 16)
 def cached_count_facets(g: Graph) -> int:
     return count_facets(g)
-
-
-@lru_cache(maxsize=1 << 16)
-def _parity_tally(g: Graph) -> tuple[tuple[Mask, int], ...]:
-    """The labelings of enumerate_facets_oracle(g) counted by the set of
-    vertices with an odd label, as (part2, count) pairs in ascending part2
-    order; the labelings themselves are not kept.
-
-    A facet labeling differs by 0 or 1 on every edge, so its strict edges
-    are exactly the edges across its parity cut, vertex 0 (label 0) on the
-    even side. Each cut of enumerate_facet_subgraphs(g) is therefore one
-    parity class, and its mu is the class's count.
-    """
-    tally = Counter(sum(1 << v for v, x in enumerate(values) if x & 1)
-                    for values in enumerate_facets_oracle(g))
-    return tuple(sorted(tally.items()))
 
 
 def _conjecture_task(args: tuple[str, BoundPair]) -> tuple[SweepRow, str | None]:
@@ -327,9 +311,10 @@ def _base_vertices(n_max: int) -> Iterator[tuple]:
 
 
 def _route_equivalence(g: Graph) -> Iterator[tuple[str, int]]:
-    oracle = sum(count for _, count in _parity_tally(g))
+    # The cut sum splits neither joins nor blocks; decomposition sanity
+    # ties it to the oracle.
     decomposed = count_facets(g)
-    if oracle != decomposed:
+    if decomposed != sum(mu for _, mu in enumerate_facet_subgraphs(g)):
         yield "route_equivalence", decomposed
 
 
@@ -363,9 +348,14 @@ def _bipartite_minimum(g: Graph) -> Iterator[tuple[str, int]]:
 
 
 def _decomposition_sanity(g: Graph) -> Iterator[tuple[str, int]]:
-    # A parity class the cut scan lacks counts as a cut with mu 0.
+    # A facet labeling differs by 0 or 1 on every edge, so its strict edges
+    # are exactly the edges across its parity cut, vertex 0 (label 0) on the
+    # even side. Each cut is therefore one parity class of the oracle's
+    # labelings, and its mu is the class's count; a parity class the cut
+    # scan lacks counts as a cut with mu 0.
     kernel = dict(enumerate_facet_subgraphs(g))
-    oracle = dict(_parity_tally(g))
+    oracle = Counter(sum(1 << v for v, x in enumerate(values) if x & 1)
+                     for values in enumerate_facets_oracle(g))
     for part2 in sorted(kernel.keys() | oracle.keys()):
         mu = kernel.get(part2, 0)
         if mu < 2 or mu % 2 != 0 or oracle.get(part2) != mu:

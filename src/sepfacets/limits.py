@@ -11,9 +11,10 @@ setting it can only let more inputs through (memory and time grow fast).
   degree-sorted vertex orderings that skips swaps of twin vertices,
   default 10.
 
-Two caps are fixed, whatever SEP_MAX_N says, and share one budget of about
-2^32 candidates: MAX_SCAN_VERTICES for the cut and vertex-subset scans and
-MAX_ORACLE_VERTICES for the labeling oracle.
+Two caps are fixed, whatever SEP_MAX_N says: MAX_SCAN_VERTICES for the cut
+and vertex-subset scans, a budget of about 2^32 candidates, and
+MAX_ORACLE_VERTICES for the labeling oracle and for count_bipartite_strict,
+which runs the oracle's labeler over 2^(n-1) sign choices.
 """
 
 import os
@@ -30,7 +31,9 @@ DEFAULT_CANONICAL_LIMIT = 10
 MAX_SCAN_VERTICES = 32
 
 # Largest vertex count of enumerate_facets_oracle, which tries 3^(n-1)
-# labelings: 3^20 < 2^32 <= 3^21, the scans' budget.
+# labelings: 3^20 < 2^32 <= 3^21, the scans' budget. count_bipartite_strict
+# takes the same cap: its labeler visits every leaf in Python, and a tree
+# has 2^(n-1) of them, 2^11 times more at 32 vertices than at 21.
 MAX_ORACLE_VERTICES = 21
 
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,12 @@ def test_count_facets_small():
     assert count_facets(star_graph(5)) == 16
 
 
+def test_count_facets_cycle_closed_form():
+    for n in range(3, 19):
+        expected = n * comb(n - 1, (n - 1) // 2) if n % 2 else comb(n, n // 2)
+        assert count_facets(cycle_graph(n)) == expected
+
+
 def test_facet_subgraphs_example():
     subs = enumerate_facet_subgraphs(EXAMPLE)
     assert len(subs) == 7
@@ -154,6 +161,12 @@ def test_strict_count_small_cycles():
     assert count_bipartite_strict(cycle_graph(6)) == 20
     assert count_bipartite_strict(cycle_graph(4)) == 6
     assert ref_facet_count(cycle_graph(6)) == 20
+
+
+def test_strict_count_takes_the_oracle_cap():
+    assert count_bipartite_strict(path_graph(21)) == 2**20
+    with pytest.raises(GraphError, match=r"22-vertex graph.*\(at most 21 vertices\)"):
+        count_bipartite_strict(path_graph(22))
 
 
 def test_strict_count_rejects_bad_input():
