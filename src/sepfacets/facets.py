@@ -12,8 +12,9 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   first in BFS order, so a labelled prefix is shared by its completions
   and dropped with them when a non-tree edge fails. Because f differs by
   0 or 1 on every edge, the strict edges are the edges across the parity
-  cut of f, so grouping the labelings by their odd-labelled vertices gives
-  the cuts of route 2 with their multiplicities.
+  cut of f, so the spanning test depends only on the odd-labelled vertices
+  and is flooded once per parity class, and grouping the labelings by
+  those vertices gives the cuts of route 2 with their multiplicities.
 
 * count_facets runs on adjacency rows, builds no Graph and makes one flat
   pass over vertex sets of the input's rows, with one complement. A join
@@ -85,32 +86,35 @@ def _require_connected(g: Graph) -> None:
 
 
 def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
-                    leaf: Callable[[list[int]], None]) -> int:
-    """Call leaf(values) on each labeling with value 0 at vertex 0 that
-    takes a step from steps along every spanning-tree edge and a distance
-    in gaps across every other edge, and return how many there are;
-    values[v] is the label of v, and the list is reused.
+                    leaf: Callable[[list[int], Mask], None]) -> int:
+    """Call leaf(values, odd) on each labeling with value 0 at vertex 0
+    that takes a step from steps along every spanning-tree edge and a
+    distance in gaps across every other edge, and return how many there
+    are; values[v] is the label of v, and the list is reused; odd is the
+    mask of the odd-labelled vertices.
 
     Vertices are labelled depth first in BFS order, each from its tree
     parent, so every completion of a labelled prefix shares it. A non-tree
     edge is tested as soon as its later endpoint gets a label, so a prefix
-    that fails is dropped with all its completions.
+    that fails is dropped with all its completions. The odd mask is
+    carried down the recursion, one bit per labelled vertex.
     """
-    # (vertex, tree parent, non-tree neighbours labelled earlier), in BFS
-    # order: the vertices discovered before c are the ones labelled first.
+    # (vertex, its bit, tree parent, non-tree neighbours labelled earlier),
+    # in BFS order: the vertices discovered before c are the ones labelled
+    # first.
     seen = 1
     order = [0]
     frames = []
     for p in order:
         for c in iter_bits(g.adj[p] & ~seen):
-            frames.append((c, p, [u for u in iter_bits(g.adj[c] & seen) if u != p]))
+            frames.append((c, 1 << c, p, [u for u in iter_bits(g.adj[c] & seen) if u != p]))
             seen |= 1 << c
             order.append(c)
     values = [0] * g.n
     last = len(frames) - 1
 
-    def label(i: int) -> int:
-        v, p, earlier = frames[i]
+    def label(i: int, odd: Mask) -> int:
+        v, b, p, earlier = frames[i]
         total = 0
         for d in steps:
             x = values[p] + d
@@ -119,14 +123,15 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
                     break
             else:
                 values[v] = x
+                below = odd | b if x & 1 else odd
                 if i == last:
-                    leaf(values)
+                    leaf(values, below)
                     total += 1
                 else:
-                    total += label(i + 1)
+                    total += label(i + 1, below)
         return total
 
-    return label(0)
+    return label(0, 0)
 
 
 def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
@@ -138,7 +143,15 @@ def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
     once. Candidates are kept when every non-tree edge differs by at most 1
     and the strict edges span and connect the graph: a flood from vertex 0
     along the rows adj[v] & ~same[values[v]], where same[x] holds the
-    vertices labelled x, must reach every vertex. A graph on more than
+    vertices labelled x, must reach every vertex.
+
+    The flood runs once per parity class, not once per labeling. The
+    labeler admits only labelings with |f(i) - f(j)| <= 1 on every edge,
+    so an edge is strict exactly when its endpoints differ in parity: the
+    strict edges of a labeling are the edges across the cut between its
+    odd- and even-labelled vertices. Labelings with the same odd-labelled
+    set therefore have the same strict edges and the same verdict, which
+    a dict local to this call keeps by that set. A graph on more than
     MAX_ORACLE_VERTICES vertices (3^21 or more candidates) is refused.
     """
     _require_connected(g)
@@ -150,24 +163,28 @@ def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
     adj = g.adj
     full = full_mask(n)
     found = []
+    verdicts: dict[Mask, bool] = {}
 
-    def keep(values: list[int]) -> None:
-        # Labels lie in [1 - n, n - 1], so a negative label indexes same
-        # from its end without meeting a nonnegative one.
-        same = [0] * (2 * n - 1)
-        for v, x in enumerate(values):
-            same[x] |= 1 << v
-        seen = frontier = 1
-        while frontier:
-            grow = 0
+    def keep(values: list[int], odd: Mask) -> None:
+        spans = verdicts.get(odd)
+        if spans is None:
+            # Labels lie in [1 - n, n - 1], so a negative label indexes
+            # same from its end without meeting a nonnegative one.
+            same = [0] * (2 * n - 1)
+            for v, x in enumerate(values):
+                same[x] |= 1 << v
+            seen = frontier = 1
             while frontier:
-                low = frontier & -frontier
-                v = low.bit_length() - 1
-                grow |= adj[v] & ~same[values[v]]
-                frontier ^= low
-            frontier = grow & ~seen
-            seen |= frontier
-        if seen == full:
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    v = low.bit_length() - 1
+                    grow |= adj[v] & ~same[values[v]]
+                    frontier ^= low
+                frontier = grow & ~seen
+                seen |= frontier
+            spans = verdicts[odd] = seen == full
+        if spans:
             found.append(tuple(values))
 
     _tree_labelings(g, (-1, 0, 1), {0, 1}, keep)
@@ -441,7 +458,7 @@ def count_bipartite_strict(b: Graph) -> int:
     _require_connected(b)
     if bipartition(b) is None:
         raise GraphError("strict counting requires a bipartite graph")
-    return _tree_labelings(b, (-1, 1), {1}, lambda values: None)
+    return _tree_labelings(b, (-1, 1), {1}, lambda values, odd: None)
 
 
 def count_suspension_via_domination(g: Graph) -> int:

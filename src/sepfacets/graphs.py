@@ -58,10 +58,14 @@ class Graph:
                 raise GraphError(f"adjacency row {i} has bits >= n")
             if row >> i & 1:
                 raise GraphError(f"loop at vertex {i}")
-        for i, row in enumerate(self.adj):
-            for j in iter_bits(row):
-                if not self.adj[j] >> i & 1:
+        adj = self.adj
+        for i, row in enumerate(adj):
+            while row:
+                low = row & -row
+                j = low.bit_length() - 1
+                if not adj[j] >> i & 1:
                     raise GraphError(f"asymmetric edge ({i},{j})")
+                row ^= low
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph({self.n}, {sorted(edges(self))})"
@@ -110,8 +114,10 @@ def reach(adj: tuple[Mask, ...] | list[Mask], start: Mask, allowed: Mask) -> Mas
     frontier = seen
     while frontier:
         grow = 0
-        for v in iter_bits(frontier):
-            grow |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = grow & allowed & ~seen
         seen |= frontier
     return seen
@@ -154,15 +160,20 @@ def bipartition(g: Graph) -> tuple[Mask, Mask] | None:
 
 
 def induced_rows(adj: tuple[Mask, ...], s: Mask) -> tuple[Mask, ...]:
-    """Rows of adj induced on the nonempty set s, relabeled in ascending order."""
-    old = list(iter_bits(s))
-    index = {v: k for k, v in enumerate(old)}
+    """Rows of adj induced on the nonempty set s, relabeled in ascending
+    order: a vertex w of s becomes the number of vertices of s below it."""
     rows = []
-    for v in old:
+    left = s
+    while left:
+        low = left & -left
+        nbrs = adj[low.bit_length() - 1] & s
         row = 0
-        for w in iter_bits(adj[v] & s):
-            row |= 1 << index[w]
+        while nbrs:
+            w = nbrs & -nbrs
+            row |= 1 << (s & (w - 1)).bit_count()
+            nbrs ^= w
         rows.append(row)
+        left ^= low
     return tuple(rows)
 
 

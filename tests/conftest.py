@@ -10,6 +10,7 @@ the package's recognizers rely on edge counts.
 
 import itertools
 import random
+from collections import deque
 
 import hypothesis
 import hypothesis.strategies as st
@@ -108,6 +109,26 @@ def ref_components(n, edge_list):
                     stack.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def ref_reach(n, edge_list, start, allowed):
+    """Vertices reachable from the start vertices while staying inside the
+    allowed ones, as a sorted list, by BFS with a queue on an adjacency
+    dict; start vertices outside allowed are dropped."""
+    adj = {v: [] for v in range(n)}
+    for i, j in edge_list:
+        adj[i].append(j)
+        adj[j].append(i)
+    allowed = set(allowed)
+    seen = set(start) & allowed
+    queue = deque(seen)
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w in allowed and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return sorted(seen)
 
 
 def ref_blocks(n, edge_list):

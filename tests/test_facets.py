@@ -76,6 +76,26 @@ def test_oracle_matches_reference_enumeration():
                 assert count_bipartite_strict(g) == len(vectors)
 
 
+@pytest.mark.parametrize("steps, gaps, totals", [
+    ((-1, 0, 1), {0, 1}, [3, 16, 126, 1085, 13602]),
+    ((-1, 1), {1}, [2, 4, 22, 70, 414]),
+])
+def test_tree_labelings_hand_each_leaf_its_odd_mask(steps, gaps, totals):
+    # The oracle's and the strict counter's steps, on every connected class
+    # on 2..6 vertices. The leaf totals per n were recorded before the
+    # labeler carried the mask.
+    leaves = []
+
+    def leaf(values, odd):
+        assert odd == sum(1 << v for v, x in enumerate(values) if x & 1)
+        leaves.append(odd)
+
+    for n, total in zip(range(2, 7), totals):
+        leaves.clear()
+        count = sum(facets._tree_labelings(g, steps, gaps, leaf) for g in generate_connected(n))
+        assert count == len(leaves) == total
+
+
 def test_oracle_rejects_disconnected():
     with pytest.raises(GraphError):
         enumerate_facets_oracle(from_edges(4, [(0, 1), (2, 3)]))

@@ -31,6 +31,7 @@ from sepfacets.graphs import (
     join,
     one_sum,
     path_graph,
+    reach,
     star_graph,
     suspension,
 )
@@ -42,6 +43,7 @@ from conftest import (
     ref_blocks,
     ref_components,
     ref_is_isomorphic,
+    ref_reach,
     ref_two_coloring,
     seeded_cacti,
 )
@@ -82,6 +84,8 @@ def test_from_edges_rejects_bad_input():
     (2, (4, 0), "adjacency row 0 has bits >= n"),
     (2, (1, 0), "loop at vertex 0"),
     (2, (2, 0), r"asymmetric edge \(0,1\)"),
+    # two asymmetric pairs, (0,1) and (0,2): the first in row order is named
+    (3, (0b110, 0, 0), r"asymmetric edge \(0,1\)"),
 ])
 def test_graph_rejects_bad_rows(n, adj, message):
     with pytest.raises(GraphError, match=f"^{message}$"):
@@ -97,6 +101,31 @@ def test_components_examples():
     assert components(two.adj, 0b10101) == [0b00001, 0b10100]
     assert components(two.adj, 0b00011) == [0b00011]
     assert not is_connected(two)
+    # start vertices outside allowed are dropped, not flooded from
+    assert reach(two.adj, 0b00011, 0b11100) == 0
+    assert reach(two.adj, 0b01001, 0b11010) == 0b11000
+    assert reach(two.adj, 0b00100, 0b11111) == 0b11100
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_strategy(max_n=8), st.data())
+def test_reach_and_components_match_reference_bfs(g, data):
+    masks = st.integers(min_value=0, max_value=full_mask(g.n))
+    start, allowed = data.draw(masks), data.draw(masks)
+    s = data.draw(st.none() | masks)
+    edge_list = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.adj[i] >> j & 1]
+
+    def members(m):
+        return [v for v in range(g.n) if m >> v & 1]
+
+    expected = ref_reach(g.n, edge_list, members(start), members(allowed))
+    assert reach(g.adj, start, allowed) == mask_of(expected)
+    inside = members(full_mask(g.n) if s is None else s)
+    comps = []
+    for v in inside:
+        if not any(c >> v & 1 for c in comps):
+            comps.append(mask_of(ref_reach(g.n, edge_list, [v], inside)))
+    assert components(g.adj, s) == comps
 
 
 def test_bipartition_examples():
