@@ -18,6 +18,7 @@ from .facets import (
     count_suspension_via_domination,
     enumerate_facet_subgraphs,
     enumerate_facets_oracle,
+    oracle_parity_classes,
 )
 from .formats import (
     FormatError,
@@ -128,7 +129,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 def _count(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.method == "oracle":
-        value = len(enumerate_facets_oracle(g))
+        value = sum(oracle_parity_classes(g).values())
     elif args.method == "decomposition":
         value = count_facets(g)
     elif args.method == "domination":

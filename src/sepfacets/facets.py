@@ -4,7 +4,7 @@ Three routes are implemented and cross-checked by the test harness. The
 second counts joins through the third, so the third is checked against the
 whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
 
-* enumerate_facets_oracle walks integer vertex labelings directly. A facet
+* The labeling oracle walks integer vertex labelings directly. A facet
   corresponds to a labeling f with f fixed to 0 at vertex 0, |f(i)-f(j)| <= 1
   on every edge, and the set of edges where the difference is exactly 1
   forming a spanning connected subgraph. Differences are chosen on a
@@ -12,9 +12,11 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   first in BFS order, so a labelled prefix is shared by its completions
   and dropped with them when a non-tree edge fails. Because f differs by
   0 or 1 on every edge, the strict edges are the edges across the parity
-  cut of f, so the spanning test depends only on the odd-labelled vertices
-  and is flooded once per parity class, and grouping the labelings by
-  those vertices gives the cuts of route 2 with their multiplicities.
+  cut of f, so the spanning test depends only on the odd-labelled vertices.
+  oracle_parity_classes therefore has the walk count labelings by that
+  set, building none, and floods once per set; its counts are the cuts of
+  route 2 with their multiplicities. enumerate_facets_oracle walks again
+  and keeps, as value tuples, the labelings of the sets that passed.
 
 * count_facets runs on adjacency rows, builds no Graph and makes one flat
   pass over vertex sets of the input's rows, with one complement. A join
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graphs import (
     Graph,
@@ -86,18 +88,20 @@ def _require_connected(g: Graph) -> None:
 
 
 def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
-                    leaf: Callable[[list[int], Mask], None]) -> int:
-    """Call leaf(values, odd) on each labeling with value 0 at vertex 0
-    that takes a step from steps along every spanning-tree edge and a
-    distance in gaps across every other edge, and return how many there
-    are; values[v] is the label of v, and the list is reused; odd is the
-    mask of the odd-labelled vertices.
+                    found: dict[Mask, list[tuple[int, ...]]] | None = None) -> dict[Mask, int]:
+    """Count the labelings with value 0 at vertex 0 that take a step from
+    steps along every spanning-tree edge and a distance in gaps across
+    every other edge, by the mask of their odd-labelled vertices. A
+    labeling whose mask is a key of found is also appended to that key's
+    list as a value tuple (values[v] is the label of v).
 
     Vertices are labelled depth first in BFS order, each from its tree
     parent, so every completion of a labelled prefix shares it. A non-tree
     edge is tested as soon as its later endpoint gets a label, so a prefix
     that fails is dropped with all its completions. The odd mask is
-    carried down the recursion, one bit per labelled vertex.
+    carried down the recursion, one bit per labelled vertex. The last
+    vertex counts its admissible labels by parity, so the tally takes at
+    most two updates per prefix that reaches it, not one per labeling.
     """
     # (vertex, its bit, tree parent, non-tree neighbours labelled earlier),
     # in BFS order: the vertices discovered before c are the ones labelled
@@ -112,47 +116,63 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
             order.append(c)
     values = [0] * g.n
     last = len(frames) - 1
+    tally: dict[Mask, int] = {}
 
-    def label(i: int, odd: Mask) -> int:
+    def label(i: int, odd: Mask) -> None:
         v, b, p, earlier = frames[i]
-        total = 0
+        base = values[p]
+        up = odd | b
+        if i < last:
+            for d in steps:
+                x = base + d
+                for u in earlier:
+                    if abs(values[u] - x) not in gaps:
+                        break
+                else:
+                    values[v] = x
+                    label(i + 1, up if x & 1 else odd)
+            return
+        evens = odds = 0
         for d in steps:
-            x = values[p] + d
+            x = base + d
             for u in earlier:
                 if abs(values[u] - x) not in gaps:
                     break
             else:
-                values[v] = x
-                below = odd | b if x & 1 else odd
-                if i == last:
-                    leaf(values, below)
-                    total += 1
+                if x & 1:
+                    odds += 1
                 else:
-                    total += label(i + 1, below)
-        return total
+                    evens += 1
+                if found:
+                    below = up if x & 1 else odd
+                    if below in found:
+                        values[v] = x
+                        found[below].append(tuple(values))
+        if evens:
+            tally[odd] = tally.get(odd, 0) + evens
+        if odds:
+            tally[up] = tally.get(up, 0) + odds
 
-    return label(0, 0)
+    label(0, 0)
+    return tally
 
 
-def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
-    """All facet-defining labelings as value tuples with value 0 at vertex
-    0, sorted.
+def oracle_parity_classes(g: Graph) -> dict[Mask, int]:
+    """Facet-defining labelings with value 0 at vertex 0, counted by the
+    mask of their odd-labelled vertices.
 
     Each spanning-tree edge gets a difference in {-1, 0, +1}; the root value
-    is 0, so every labeling satisfying the edge condition appears exactly
-    once. Candidates are kept when every non-tree edge differs by at most 1
-    and the strict edges span and connect the graph: a flood from vertex 0
-    along the rows adj[v] & ~same[values[v]], where same[x] holds the
-    vertices labelled x, must reach every vertex.
+    is 0, so every labeling satisfying the edge condition is counted
+    exactly once. A labeling is a facet when every non-tree edge differs by
+    at most 1 and its strict edges span and connect the graph.
 
-    The flood runs once per parity class, not once per labeling. The
-    labeler admits only labelings with |f(i) - f(j)| <= 1 on every edge,
-    so an edge is strict exactly when its endpoints differ in parity: the
-    strict edges of a labeling are the edges across the cut between its
-    odd- and even-labelled vertices. Labelings with the same odd-labelled
-    set therefore have the same strict edges and the same verdict, which
-    a dict local to this call keeps by that set. A graph on more than
-    MAX_ORACLE_VERTICES vertices (3^21 or more candidates) is refused.
+    Because every edge differs by 0 or 1, an edge is strict exactly when
+    its endpoints differ in parity: the strict edges of a labeling are the
+    edges across the cut between its odd- and even-labelled vertices. So
+    the labeler only tallies the labelings by odd-labelled set, and the
+    spanning test runs once per tallied set, as a flood from vertex 0
+    across that cut. A graph on more than MAX_ORACLE_VERTICES vertices
+    (3^21 or more candidates) is refused.
     """
     _require_connected(g)
     n = g.n
@@ -162,33 +182,34 @@ def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
             f"labelings (the oracle takes at most {MAX_ORACLE_VERTICES} vertices)")
     adj = g.adj
     full = full_mask(n)
-    found = []
-    verdicts: dict[Mask, bool] = {}
-
-    def keep(values: list[int], odd: Mask) -> None:
-        spans = verdicts.get(odd)
-        if spans is None:
-            # Labels lie in [1 - n, n - 1], so a negative label indexes
-            # same from its end without meeting a nonnegative one.
-            same = [0] * (2 * n - 1)
-            for v, x in enumerate(values):
-                same[x] |= 1 << v
-            seen = frontier = 1
+    classes = {}
+    for odd, count in _tree_labelings(g, (-1, 0, 1), {0, 1}).items():
+        seen = frontier = 1
+        while frontier:
+            grow = 0
             while frontier:
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    v = low.bit_length() - 1
-                    grow |= adj[v] & ~same[values[v]]
-                    frontier ^= low
-                frontier = grow & ~seen
-                seen |= frontier
-            spans = verdicts[odd] = seen == full
-        if spans:
-            found.append(tuple(values))
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1] & (~odd if odd & low else odd)
+                frontier ^= low
+            frontier = grow & ~seen
+            seen |= frontier
+        if seen == full:
+            classes[odd] = count
+    return classes
 
-    _tree_labelings(g, (-1, 0, 1), {0, 1}, keep)
-    return sorted(found)
+
+def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
+    """All facet-defining labelings as value tuples with value 0 at vertex
+    0, sorted.
+
+    oracle_parity_classes names the odd-labelled sets of the facets, and a
+    second walk of the same labeler keeps the labelings of those sets only,
+    so no labeling that fails the spanning test is ever held. Graphs that
+    oracle_parity_classes refuses are refused.
+    """
+    found: dict[Mask, list[tuple[int, ...]]] = {odd: [] for odd in oracle_parity_classes(g)}
+    _tree_labelings(g, (-1, 0, 1), {0, 1}, found)
+    return sorted(values for labelings in found.values() for values in labelings)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -448,9 +469,11 @@ def count_bipartite_strict(b: Graph) -> int:
     Signs are chosen on a spanning tree (at most 2^(n-1) candidates) by
     the oracle's depth-first labeler; a prefix survives while every
     non-tree edge between its vertices differs by exactly 1. For a
-    bipartite graph this equals its facet count. A tree keeps all 2^(n-1)
-    choices, each a leaf of the labeler, so graphs on more than
-    MAX_ORACLE_VERTICES vertices, the oracle's cap, are refused.
+    bipartite graph this equals its facet count. Every strict labeling
+    has the side without vertex 0 as its odd-labelled set, so the
+    labeler's tally holds that one set. A tree keeps all 2^(n-1) choices,
+    so graphs on more than MAX_ORACLE_VERTICES vertices, the oracle's cap,
+    are refused.
     """
     if b.n > MAX_ORACLE_VERTICES:
         raise GraphError(f"a {b.n}-vertex graph is too large for strict counting: "
@@ -458,7 +481,7 @@ def count_bipartite_strict(b: Graph) -> int:
     _require_connected(b)
     if bipartition(b) is None:
         raise GraphError("strict counting requires a bipartite graph")
-    return _tree_labelings(b, (-1, 1), {1}, lambda values, odd: None)
+    return sum(_tree_labelings(b, (-1, 1), {1}).values())
 
 
 def count_suspension_via_domination(g: Graph) -> int:

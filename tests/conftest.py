@@ -82,6 +82,30 @@ def ref_facet_vectors(n, edge_list):
     return out
 
 
+def ref_labelings(n, edge_list, gaps):
+    """All labelings f of a connected graph with f(0) = 0 and
+    |f(i) - f(j)| in gaps on every edge, as tuples. Vertices take raw values
+    |f| <= n - 1 in vertex order, and an edge is tested once both its ends
+    have values; no spanning tree is used."""
+    earlier = [[] for _ in range(n)]
+    for i, j in edge_list:
+        earlier[max(i, j)].append(min(i, j))
+    f = [0] * n
+    out = []
+
+    def extend(v):
+        if v == n:
+            out.append(tuple(f))
+            return
+        for x in range(-(n - 1), n):
+            if all(abs(f[u] - x) in gaps for u in earlier[v]):
+                f[v] = x
+                extend(v + 1)
+
+    extend(1)
+    return out
+
+
 def ref_facet_count(g: Graph) -> int:
     return len(ref_facet_vectors(g.n, edges(g)))
 

@@ -14,6 +14,7 @@ from sepfacets.facets import (
     enumerate_facet_subgraphs,
     enumerate_facets_oracle,
     mu_of,
+    oracle_parity_classes,
     subgraph_component_value,
 )
 from sepfacets.formulas import conjecture_bounds
@@ -45,6 +46,7 @@ from conftest import (
     ref_components,
     ref_facet_count,
     ref_facet_vectors,
+    ref_labelings,
 )
 
 EXAMPLE = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)])
@@ -65,13 +67,20 @@ def test_oracle_small_complete():
     assert len(enumerate_facets_oracle(complete_graph(4))) == 14
 
 
+def odd_masks(labelings):
+    """The labelings counted by the mask of their odd-labelled vertices."""
+    return Counter(mask_of(v for v, x in enumerate(values) if x % 2) for values in labelings)
+
+
 def test_oracle_matches_reference_enumeration():
-    # every connected class on 2..5 vertices, against raw-value enumeration;
-    # the bipartite ones also through the sign enumeration of strict counting
+    # every connected class on 2..5 vertices, against raw-value enumeration,
+    # also grouped by odd-labelled set; the bipartite ones also through the
+    # sign enumeration of strict counting
     for n in range(2, 6):
         for g in generate_connected(n):
             vectors = sorted(ref_facet_vectors(g.n, edges(g)))
             assert enumerate_facets_oracle(g) == vectors
+            assert oracle_parity_classes(g) == odd_masks(vectors)
             if bipartition(g) is not None:
                 assert count_bipartite_strict(g) == len(vectors)
 
@@ -82,25 +91,55 @@ def test_oracle_matches_reference_enumeration():
 ])
 def test_tree_labelings_hand_each_leaf_its_odd_mask(steps, gaps, totals):
     # The oracle's and the strict counter's steps, on every connected class
-    # on 2..6 vertices. The leaf totals per n were recorded before the
-    # labeler carried the mask.
-    leaves = []
-
-    def leaf(values, odd):
-        assert odd == sum(1 << v for v, x in enumerate(values) if x & 1)
-        leaves.append(odd)
-
+    # on 2..6 vertices: the walk counts each labeling under its odd-labelled
+    # set, as a search over raw values in vertex order does. The totals per
+    # n were recorded when the walk still called a leaf per labeling.
     for n, total in zip(range(2, 7), totals):
-        leaves.clear()
-        count = sum(facets._tree_labelings(g, steps, gaps, leaf) for g in generate_connected(n))
-        assert count == len(leaves) == total
+        count = 0
+        for g in generate_connected(n):
+            tally = facets._tree_labelings(g, steps, gaps)
+            assert tally == odd_masks(ref_labelings(g.n, edges(g), gaps))
+            count += sum(tally.values())
+        assert count == total
+
+
+def test_strict_walk_tallies_the_side_without_vertex_0():
+    # A strict labeling alternates parity along every edge, so on a
+    # connected bipartite graph its odd-labelled set is the side without
+    # vertex 0, and the strict count is that one mask's tally.
+    for n in range(2, 7):
+        for g in generate_connected(n):
+            sides = bipartition(g)
+            if sides is not None:
+                tally = facets._tree_labelings(g, (-1, 1), {1})
+                assert list(tally) == [sides[1]]
+                assert tally[sides[1]] == count_bipartite_strict(g)
+
+
+def test_oracle_keeps_only_facet_labelings(monkeypatch):
+    # enumerate_facets_oracle hands the walk only the facets' odd-labelled
+    # sets, so no labeling that fails the spanning test is ever collected.
+    walks = []
+    walk = facets._tree_labelings
+
+    def recorded(g, steps, gaps, found=None):
+        walks.append(found)
+        return walk(g, steps, gaps, found)
+
+    monkeypatch.setattr(facets, "_tree_labelings", recorded)
+    g = cycle_graph(6)
+    labelings = enumerate_facets_oracle(g)
+    assert len(walks) == 2 and walks[0] is None
+    assert sorted(walks[1]) == sorted(oracle_parity_classes(g))
+    assert sum(map(len, walks[1].values())) == len(labelings) == comb(6, 3)
 
 
 def test_oracle_rejects_disconnected():
-    with pytest.raises(GraphError):
-        enumerate_facets_oracle(from_edges(4, [(0, 1), (2, 3)]))
-    with pytest.raises(GraphError):
-        enumerate_facets_oracle(Graph(1, (0,)))
+    for oracle in enumerate_facets_oracle, oracle_parity_classes:
+        with pytest.raises(GraphError):
+            oracle(from_edges(4, [(0, 1), (2, 3)]))
+        with pytest.raises(GraphError):
+            oracle(Graph(1, (0,)))
 
 
 def test_count_facets_example_graph():
@@ -325,10 +364,11 @@ def test_cut_multiplicities_are_oracle_parity_classes():
     # are the edges across its parity cut: mu(part2) is the number of oracle
     # labelings whose odd-labelled vertices are part2. Up to 6 vertices each
     # cut is also recounted by mu_of (contract_edges, count_bipartite_strict).
+    # oracle_parity_classes counts the same classes without building them.
     for n in range(2, 8):
         for g in generate_connected(n):
-            tally = Counter(mask_of(v for v, x in enumerate(values) if x % 2)
-                            for values in enumerate_facets_oracle(g))
+            tally = odd_masks(enumerate_facets_oracle(g))
+            assert oracle_parity_classes(g) == tally
             cuts = enumerate_facet_subgraphs(g)
             assert cuts == sorted(tally.items())
             if n <= 6:
@@ -420,6 +460,8 @@ def test_scan_refuses_large_blocks():
         subgraph_component_value(cycle_graph(33))
     with pytest.raises(GraphError, match="22-vertex graph"):
         enumerate_facets_oracle(cycle_graph(22))
+    with pytest.raises(GraphError, match="22-vertex graph is too large for the labeling oracle"):
+        oracle_parity_classes(cycle_graph(22))
     with pytest.raises(GraphError, match="40-vertex graph"):
         count_bipartite_strict(path_graph(40))
 

@@ -325,7 +325,9 @@ PLANTED_FAULTS = [
     ("enumerate_facet_subgraphs",
      lambda g: [(part2, mu + 2) for part2, mu in facets.enumerate_facet_subgraphs(g)],
      "decomposition_sanity", "mu_sanity", 9),
-    ("enumerate_facets_oracle", lambda g: facets.enumerate_facets_oracle(g)[1:],
+    ("oracle_parity_classes",
+     lambda g: {odd: count - (k == 0)
+                for k, (odd, count) in enumerate(facets.oracle_parity_classes(g).items())},
      "decomposition_sanity", "mu_sanity", 9),
     ("cached_count_facets", lambda g: 2 * sum(row.bit_count() for row in g.adj),
      "bipartite_monotonicity", "bipartite_monotonicity", 4),
