@@ -13,10 +13,11 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   and dropped with them when a non-tree edge fails. Because f differs by
   0 or 1 on every edge, the strict edges are the edges across the parity
   cut of f, so the spanning test depends only on the odd-labelled vertices.
-  oracle_parity_classes therefore has the walk count labelings by that
-  set, building none, and floods once per set; its counts are the cuts of
-  route 2 with their multiplicities. enumerate_facets_oracle walks again
-  and keeps, as value tuples, the labelings of the sets that passed.
+  The walk therefore floods across that cut once per set, when the set
+  first comes up, and keeps only the facets: oracle_parity_classes counts
+  them by set, building none, and its counts are the cuts of route 2 with
+  their multiplicities; enumerate_facets_oracle lists them as value tuples
+  from the same single walk.
 
 * count_facets runs on adjacency rows, builds no Graph and makes one flat
   pass over vertex sets of the input's rows, with one complement. A join
@@ -87,13 +88,28 @@ def _require_connected(g: Graph) -> None:
         raise GraphError("disconnected")
 
 
-def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
-                    found: dict[Mask, list[tuple[int, ...]]] | None = None) -> dict[Mask, int]:
-    """Count the labelings with value 0 at vertex 0 that take a step from
-    steps along every spanning-tree edge and a distance in gaps across
-    every other edge, by the mask of their odd-labelled vertices. A
-    labeling whose mask is a key of found is also appended to that key's
-    list as a value tuple (values[v] is the label of v).
+def _require_oracle(g: Graph) -> None:
+    _require_connected(g)
+    if g.n > MAX_ORACLE_VERTICES:
+        raise GraphError(f"a {g.n}-vertex graph is too large for the labeling oracle: 3^{g.n - 1} "
+                         f"labelings (the oracle takes at most {MAX_ORACLE_VERTICES} vertices)")
+
+
+def _tree_labelings(g: Graph, steps: tuple[int, ...],
+                    listing: list[tuple[int, ...]] | None = None) -> dict[Mask, int]:
+    """Facet labelings with value 0 at vertex 0 and a step from steps on
+    every spanning-tree edge, counted by the mask of their odd-labelled
+    vertices; with listing, each is also appended there as a value tuple.
+
+    Every non-tree edge must differ by at most 1. With steps (-1, 0, 1)
+    that is the edge condition. With steps (-1, 1) g must be bipartite:
+    each label then has the parity of its vertex's tree depth, that is of
+    its side, so every edge differs by an odd amount, hence by exactly 1.
+    Either way an edge is strict exactly when its endpoints differ in
+    parity, so the strict edges are those across the parity cut, and the
+    spanning test depends only on the odd mask. It runs as a flood from
+    vertex 0 across the cut once per mask and call, when the mask first
+    reaches the last vertex.
 
     Vertices are labelled depth first in BFS order, each from its tree
     parent, so every completion of a labelled prefix shares it. A non-tree
@@ -116,7 +132,23 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
             order.append(c)
     values = [0] * g.n
     last = len(frames) - 1
+    verdicts: dict[Mask, bool] = {}
     tally: dict[Mask, int] = {}
+
+    def spans(odd: Mask) -> bool:
+        ok = verdicts.get(odd)
+        if ok is None:
+            reached = frontier = 1
+            while frontier:
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= g.adj[low.bit_length() - 1] & (~odd if odd & low else odd)
+                    frontier ^= low
+                frontier = grow & ~reached
+                reached |= frontier
+            ok = verdicts[odd] = reached == full_mask(g.n)
+        return ok
 
     def label(i: int, odd: Mask) -> None:
         v, b, p, earlier = frames[i]
@@ -126,7 +158,7 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
             for d in steps:
                 x = base + d
                 for u in earlier:
-                    if abs(values[u] - x) not in gaps:
+                    if abs(values[u] - x) > 1:
                         break
                 else:
                     values[v] = x
@@ -136,21 +168,19 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
         for d in steps:
             x = base + d
             for u in earlier:
-                if abs(values[u] - x) not in gaps:
+                if abs(values[u] - x) > 1:
                     break
             else:
                 if x & 1:
                     odds += 1
                 else:
                     evens += 1
-                if found:
-                    below = up if x & 1 else odd
-                    if below in found:
-                        values[v] = x
-                        found[below].append(tuple(values))
-        if evens:
+                if listing is not None and spans(up if x & 1 else odd):
+                    values[v] = x
+                    listing.append(tuple(values))
+        if evens and spans(odd):
             tally[odd] = tally.get(odd, 0) + evens
-        if odds:
+        if odds and spans(up):
             tally[up] = tally.get(up, 0) + odds
 
     label(0, 0)
@@ -159,57 +189,25 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...], gaps: set[int],
 
 def oracle_parity_classes(g: Graph) -> dict[Mask, int]:
     """Facet-defining labelings with value 0 at vertex 0, counted by the
-    mask of their odd-labelled vertices.
-
-    Each spanning-tree edge gets a difference in {-1, 0, +1}; the root value
-    is 0, so every labeling satisfying the edge condition is counted
-    exactly once. A labeling is a facet when every non-tree edge differs by
-    at most 1 and its strict edges span and connect the graph.
-
-    Because every edge differs by 0 or 1, an edge is strict exactly when
-    its endpoints differ in parity: the strict edges of a labeling are the
-    edges across the cut between its odd- and even-labelled vertices. So
-    the labeler only tallies the labelings by odd-labelled set, and the
-    spanning test runs once per tallied set, as a flood from vertex 0
-    across that cut. A graph on more than MAX_ORACLE_VERTICES vertices
-    (3^21 or more candidates) is refused.
+    mask of their odd-labelled vertices, from one walk of _tree_labelings
+    with a difference in {-1, 0, +1} on each spanning-tree edge, so each
+    labeling is met exactly once. A graph on more than MAX_ORACLE_VERTICES
+    vertices (3^21 or more candidates) is refused.
     """
-    _require_connected(g)
-    n = g.n
-    if n > MAX_ORACLE_VERTICES:
-        raise GraphError(
-            f"a {n}-vertex graph is too large for the labeling oracle: 3^{n - 1} "
-            f"labelings (the oracle takes at most {MAX_ORACLE_VERTICES} vertices)")
-    adj = g.adj
-    full = full_mask(n)
-    classes = {}
-    for odd, count in _tree_labelings(g, (-1, 0, 1), {0, 1}).items():
-        seen = frontier = 1
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1] & (~odd if odd & low else odd)
-                frontier ^= low
-            frontier = grow & ~seen
-            seen |= frontier
-        if seen == full:
-            classes[odd] = count
-    return classes
+    _require_oracle(g)
+    return _tree_labelings(g, (-1, 0, 1))
 
 
 def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
     """All facet-defining labelings as value tuples with value 0 at vertex
-    0, sorted.
-
-    oracle_parity_classes names the odd-labelled sets of the facets, and a
-    second walk of the same labeler keeps the labelings of those sets only,
-    so no labeling that fails the spanning test is ever held. Graphs that
-    oracle_parity_classes refuses are refused.
+    0, sorted, listed in the single walk that oracle_parity_classes counts
+    with, so no labeling that fails the spanning test is ever held. Graphs
+    that oracle_parity_classes refuses are refused.
     """
-    found: dict[Mask, list[tuple[int, ...]]] = {odd: [] for odd in oracle_parity_classes(g)}
-    _tree_labelings(g, (-1, 0, 1), {0, 1}, found)
-    return sorted(values for labelings in found.values() for values in labelings)
+    _require_oracle(g)
+    listing: list[tuple[int, ...]] = []
+    _tree_labelings(g, (-1, 0, 1), listing)
+    return sorted(listing)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -467,13 +465,14 @@ def count_bipartite_strict(b: Graph) -> int:
     """Labelings of a connected bipartite graph that are strict on every edge.
 
     Signs are chosen on a spanning tree (at most 2^(n-1) candidates) by
-    the oracle's depth-first labeler; a prefix survives while every
-    non-tree edge between its vertices differs by exactly 1. For a
-    bipartite graph this equals its facet count. Every strict labeling
-    has the side without vertex 0 as its odd-labelled set, so the
-    labeler's tally holds that one set. A tree keeps all 2^(n-1) choices,
-    so graphs on more than MAX_ORACLE_VERTICES vertices, the oracle's cap,
-    are refused.
+    the oracle's depth-first labeler, whose steps (-1, 1) need a bipartite
+    graph; a prefix survives while every non-tree edge between its
+    vertices differs by at most 1, which for odd differences is exactly 1.
+    For a bipartite graph this equals its facet count. Every strict
+    labeling has the side without vertex 0 as its odd-labelled set, whose
+    cut holds every edge, so the tally holds that one set, which passes
+    its one flood. A tree keeps all 2^(n-1) choices, so graphs on more
+    than MAX_ORACLE_VERTICES vertices, the oracle's cap, are refused.
     """
     if b.n > MAX_ORACLE_VERTICES:
         raise GraphError(f"a {b.n}-vertex graph is too large for strict counting: "
@@ -481,7 +480,7 @@ def count_bipartite_strict(b: Graph) -> int:
     _require_connected(b)
     if bipartition(b) is None:
         raise GraphError("strict counting requires a bipartite graph")
-    return sum(_tree_labelings(b, (-1, 1), {1}).values())
+    return sum(_tree_labelings(b, (-1, 1)).values())
 
 
 def count_suspension_via_domination(g: Graph) -> int:

@@ -85,20 +85,36 @@ def test_oracle_matches_reference_enumeration():
                 assert count_bipartite_strict(g) == len(vectors)
 
 
+def ref_facets(g, gaps):
+    """The labelings of ref_labelings(g.n, edges(g), gaps) whose edges with
+    ends differing by exactly 1 span and connect g."""
+    out = []
+    for values in ref_labelings(g.n, edges(g), gaps):
+        strict = [(i, j) for i, j in edges(g) if abs(values[i] - values[j]) == 1]
+        if len(ref_components(g.n, strict)) == 1:
+            out.append(values)
+    return out
+
+
 @pytest.mark.parametrize("steps, gaps, totals", [
-    ((-1, 0, 1), {0, 1}, [3, 16, 126, 1085, 13602]),
+    ((-1, 0, 1), {0, 1}, [2, 10, 60, 494, 5656]),
     ((-1, 1), {1}, [2, 4, 22, 70, 414]),
 ])
 def test_tree_labelings_hand_each_leaf_its_odd_mask(steps, gaps, totals):
     # The oracle's and the strict counter's steps, on every connected class
-    # on 2..6 vertices: the walk counts each labeling under its odd-labelled
-    # set, as a search over raw values in vertex order does. The totals per
-    # n were recorded when the walk still called a leaf per labeling.
+    # on 2..6 vertices (the strict steps on the bipartite ones only, as
+    # count_bipartite_strict takes): the walk counts each facet labeling
+    # under its odd-labelled set, as a search over raw values in vertex
+    # order, with no spanning tree, does once it drops the labelings whose
+    # strict edges fail to span and connect g. The oracle's totals per n
+    # are the sums of count_facets over the classes.
     for n, total in zip(range(2, 7), totals):
         count = 0
         for g in generate_connected(n):
-            tally = facets._tree_labelings(g, steps, gaps)
-            assert tally == odd_masks(ref_labelings(g.n, edges(g), gaps))
+            if 0 not in gaps and bipartition(g) is None:
+                continue
+            tally = facets._tree_labelings(g, steps)
+            assert tally == odd_masks(ref_facets(g, gaps))
             count += sum(tally.values())
         assert count == total
 
@@ -111,27 +127,32 @@ def test_strict_walk_tallies_the_side_without_vertex_0():
         for g in generate_connected(n):
             sides = bipartition(g)
             if sides is not None:
-                tally = facets._tree_labelings(g, (-1, 1), {1})
+                tally = facets._tree_labelings(g, (-1, 1))
                 assert list(tally) == [sides[1]]
                 assert tally[sides[1]] == count_bipartite_strict(g)
 
 
-def test_oracle_keeps_only_facet_labelings(monkeypatch):
-    # enumerate_facets_oracle hands the walk only the facets' odd-labelled
-    # sets, so no labeling that fails the spanning test is ever collected.
+def test_oracle_lists_its_facets_in_one_walk(monkeypatch):
+    # enumerate_facets_oracle walks once and hands the walk a listing, which
+    # gets exactly the labelings the walk tallies as facets, so no labeling
+    # that fails the spanning test is ever collected: on every connected
+    # class on 2..6 vertices, against raw-value enumeration.
     walks = []
     walk = facets._tree_labelings
 
-    def recorded(g, steps, gaps, found=None):
-        walks.append(found)
-        return walk(g, steps, gaps, found)
+    def recorded(g, steps, listing=None):
+        tally = walk(g, steps, listing)
+        walks.append((listing, tally))
+        return tally
 
     monkeypatch.setattr(facets, "_tree_labelings", recorded)
-    g = cycle_graph(6)
-    labelings = enumerate_facets_oracle(g)
-    assert len(walks) == 2 and walks[0] is None
-    assert sorted(walks[1]) == sorted(oracle_parity_classes(g))
-    assert sum(map(len, walks[1].values())) == len(labelings) == comb(6, 3)
+    for n in range(2, 7):
+        for g in generate_connected(n):
+            walks.clear()
+            labelings = enumerate_facets_oracle(g)
+            [(listing, tally)] = walks
+            assert listing is not None and len(listing) == sum(tally.values())
+            assert labelings == sorted(ref_facets(g, {0, 1}))
 
 
 def test_oracle_rejects_disconnected():
