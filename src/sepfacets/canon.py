@@ -6,6 +6,10 @@ whose degree sequence is sorted ascending. Restricting to degree-sorted
 orderings is isomorphism-invariant, so equal certificates still mean
 isomorphic graphs, and it turns the search into one permutation class per
 degree multiset. A prefix-pruned branch and bound keeps it fast for n <= 10.
+Each level draws its candidates from a mask of the vertices of its degree,
+carries a flag saying whether its prefix still equals the best ordering's
+(only then can a chunk be pruned), and the forced last vertex is placed
+without a level of its own.
 The search also skips a vertex while an earlier twin of it (same
 neighbourhood apart from each other) is unplaced: swapping two twins is an
 automorphism fixing every other vertex, so that subtree repeats one already
@@ -20,7 +24,11 @@ McKay, Isomorph-free exhaustive generation, 1998): no old vertex has a
 smaller degree while deleting it keeps the graph in the family. No class is
 lost: a class has a vertex x of least degree among those whose deletion
 keeps it in the family (every leaf of a spanning tree is one), and the
-candidate that adds x to the class of G - x passes.
+candidate that adds x to the class of G - x passes. The rule is decided
+from pieces of the parent made once, before any child's rows: an old
+vertex u has degree deg(u) + (u in nbhd) in the child, and deleting it
+keeps the child connected exactly when every component of parent - u meets
+the new vertex's neighbourhood.
 
 Each parent is extended only by the neighbourhoods that are least in their
 orbit under its automorphism group (an orbit closure over the 2^(n-1)
@@ -38,9 +46,9 @@ holds no more than its tuple of graphs.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .graphs import Graph, GraphError, reach
+from .graphs import Graph, GraphError, components
 from .limits import canonical_limit, generator_limit
 
 
@@ -57,6 +65,18 @@ def _search(adj: tuple[int, ...] | list[int]) -> tuple[bytes, list[list[int]]]:
     generators of its automorphism group as vertex maps (perm[v] is the
     image of v).
 
+    The search places one vertex per level k, taking the candidates from the
+    pool of vertices whose degree is the k-th smallest (a mask made once per
+    degree, ANDed with the unplaced ones) in the order of their chunk, the
+    bits of their row at the vertices already placed. Each level is told
+    whether its prefix equals the best ordering's (tight): only a tight
+    level compares its chunks with the best one's, and stops at the first
+    larger chunk, and a level becomes tight again when a leaf below it
+    improves the best, since that leaf shares its prefix. The last vertex
+    is forced and is placed inline, with no level of its own. Twins are
+    looked for within a pool only: N(u) - w = N(w) - u gives u and w equal
+    degrees, as w is in N(u) exactly when u is in N(w).
+
     The generators are the automorphisms the search meets: the swap of each
     vertex with its first earlier twin (the twins it skips), and for each
     leaf that ties with the best ordering the map from the best ordering to
@@ -68,57 +88,77 @@ def _search(adj: tuple[int, ...] | list[int]) -> tuple[bytes, list[list[int]]]:
     """
     n = len(adj)
     degs = [adj[v].bit_count() for v in range(n)]
-    target = sorted(degs)
+    pools: dict[int, int] = {}
+    for v in range(n):
+        pools[degs[v]] = pools.get(degs[v], 0) | 1 << v
+    level_pool = [pools[d] for d in sorted(degs)]
     earlier_twins = [0] * n
     for u in range(n):
-        for w in range(u):
-            if (adj[u] & ~(1 << w)) == (adj[w] & ~(1 << u)):
-                earlier_twins[u] |= 1 << w
+        same = pools[degs[u]] & ((1 << u) - 1)
+        while same:
+            low = same & -same
+            same ^= low
+            if adj[u] & ~low == adj[low.bit_length() - 1] & ~(1 << u):
+                earlier_twins[u] |= low
 
-    best: list[int] | None = None
+    best: list[int] = []
     best_order: list[int] = []
     ties: list[list[int]] = []
     placed: list[int] = []
-    unplaced = (1 << n) - 1
     chunks: list[int] = []
+    last = n - 1
 
-    def descend(k: int) -> None:
-        nonlocal best, unplaced
-        if k == n:
-            if chunks == best:
-                ties.append(list(placed))
-            elif best is None or chunks < best:
-                best = list(chunks)
-                best_order[:] = placed
-                ties.clear()
-            return
-        want = target[k]
-        options = []
-        for u in range(n):
-            if not unplaced >> u & 1 or degs[u] != want or earlier_twins[u] & unplaced:
-                continue
-            chunk = 0
+    def descend(k: int, unplaced: int, tight: bool) -> bool:
+        """Search below the prefix placed; True if a leaf improved best."""
+        nonlocal best
+        if k == last:
+            u = unplaced.bit_length() - 1
             row = adj[u]
-            for i in range(k):
-                chunk = (chunk << 1) | (row >> placed[i] & 1)
+            chunk = 0
+            for v in placed:
+                chunk = (chunk << 1) | (row >> v & 1)
+            if tight:
+                if chunk > best[k]:
+                    return False
+                if chunk == best[k]:
+                    ties.append(placed + [u])
+                    return False
+            best = chunks + [chunk]
+            best_order[:] = placed
+            best_order.append(u)
+            ties.clear()
+            return True
+        options = []
+        free = level_pool[k] & unplaced
+        while free:
+            low = free & -free
+            free ^= low
+            u = low.bit_length() - 1
+            if earlier_twins[u] & unplaced:
+                continue
+            row = adj[u]
+            chunk = 0
+            for v in placed:
+                chunk = (chunk << 1) | (row >> v & 1)
             options.append((chunk, u))
         options.sort()
+        improved = False
         for chunk, u in options:
-            if best is not None:
-                prefix = best[k]
-                if chunks == best[:k]:
-                    if chunk > prefix:
-                        break
-            unplaced ^= 1 << u
+            if tight:
+                if chunk > best[k]:
+                    break
+                child_tight = chunk == best[k]
+            else:
+                child_tight = False
             placed.append(u)
             chunks.append(chunk)
-            descend(k + 1)
+            if descend(k + 1, unplaced ^ 1 << u, child_tight):
+                improved = tight = True
             chunks.pop()
             placed.pop()
-            unplaced ^= 1 << u
+        return improved
 
-    descend(0)
-    assert best is not None
+    descend(0, (1 << n) - 1, False)
     bits = 0
     nbits = 0
     for k in range(n):
@@ -171,18 +211,31 @@ def _orbit_minima(generators: list[list[int]], new: int, lowest: int) -> list[in
     return minima
 
 
-def _passes_deletion_rule(rows: list[int], connected_only: bool) -> bool:
-    """The deletion rule: no old vertex u has a smaller degree than the new
-    (last) vertex while deleting u keeps the graph in the family."""
-    new = len(rows) - 1
-    d = rows[new].bit_count()
-    full = (1 << len(rows)) - 1
-    for u in range(new):
-        if rows[u].bit_count() < d:
-            rest = full ^ (1 << u)
-            if not connected_only or reach(rows, 1 << new, rest) == rest:
+def _deletion_rule(adj: tuple[int, ...], connected_only: bool) -> Callable[[int], bool]:
+    """The deletion rule for the children of the graph with rows adj, as a
+    test of the new vertex's neighbourhood: it passes when no old vertex u
+    has a smaller degree than the new vertex while deleting u keeps the
+    child in the family.
+
+    The test reads only pieces of the parent, made once: in the child, u has
+    degree deg(u) + (u in nbhd) and the new vertex |nbhd|, and child - u is
+    parent - u plus the new vertex, which is connected exactly when every
+    component of parent - u meets nbhd. Without connected_only every
+    deletion keeps the child in the family, and no component has to be met.
+    """
+    new = len(adj)
+    full = (1 << new) - 1
+    degs = [row.bit_count() for row in adj]
+    pieces = [components(adj, full ^ 1 << u) if connected_only else [] for u in range(new)]
+
+    def passes(nbhd: int) -> bool:
+        d = nbhd.bit_count()
+        for u in range(new):
+            if degs[u] + (nbhd >> u & 1) < d and all(p & nbhd for p in pieces[u]):
                 return False
-    return True
+        return True
+
+    return passes
 
 
 @lru_cache(maxsize=None)
@@ -194,11 +247,12 @@ def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
     lowest = 1 if connected_only else 0
     seen: dict[bytes, Graph] = {}
     for parent in parents:
+        passes = _deletion_rule(parent.adj, connected_only)
         for nbhd in _orbit_minima(_search(parent.adj)[1], new, lowest):
+            if not passes(nbhd):
+                continue
             rows = [parent.adj[v] | (nbhd >> v & 1) << new for v in range(new)]
             rows.append(nbhd)
-            if not _passes_deletion_rule(rows, connected_only):
-                continue
             cert = _search(rows)[0]
             if cert not in seen:
                 seen[cert] = Graph(n, tuple(rows))

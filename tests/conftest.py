@@ -281,6 +281,24 @@ def ref_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return found
 
 
+def ref_passes_deletion_rule(parent: Graph, nbhd: int, connected_only: bool) -> bool:
+    """The canonical-deletion rule by its definition, on the child of parent
+    whose new vertex parent.n has the neighbourhood mask nbhd: build the
+    child's edge list, and fail when some old vertex has a smaller degree
+    than the new vertex while deleting it leaves a graph in the family (for
+    connected generation, a BFS from the new vertex reaches every vertex
+    left)."""
+    n = parent.n
+    child = edges(parent) + [(v, n) for v in range(n) if nbhd >> v & 1]
+    degree = [sum(v in e for e in child) for v in range(n + 1)]
+    for u in range(n):
+        if degree[u] < degree[n]:
+            rest = [v for v in range(n + 1) if v != u]
+            if not connected_only or ref_reach(n + 1, child, [n], rest) == rest:
+                return False
+    return True
+
+
 def ref_orbit_minima(group, n):
     """The subsets of range(n), as masks, that are least in their orbit under
     the permutation group given by all of its elements."""

@@ -27,6 +27,7 @@ from conftest import (
     ref_automorphisms,
     ref_is_isomorphic,
     ref_orbit_minima,
+    ref_passes_deletion_rule,
     relabel,
 )
 
@@ -45,6 +46,13 @@ TWIN_HEAVY = (
 PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(i, i + 5) for i in range(5)]
                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+# sha256 of repr((certificate, generators)) + "\n" from canon._search, over
+# generate_all(1..7), TWIN_HEAVY and PETERSEN in that order, as recorded from
+# the search that sliced and compared the best prefix at every option. The
+# order of the generators fixes the orbit closure's work and the search count
+# that test_cold_generation_search_count pins.
+SEARCH_SHA256 = "1c83e2ca89533f7728a7073b1731c18d1f3ad2de24968da9da2cd63dfe3bbedb"
 
 # sha256 of the graph6 lines of generate_all(n) and generate_connected(n) for
 # n = 1..7, as recorded from the generator that extended each parent by every
@@ -199,6 +207,33 @@ def test_search_generators_give_the_group_on_all_small_graphs(n):
                          ids=["C10", "Petersen", "K5,5", "K3,3,3"])
 def test_search_generators_give_the_group_on_symmetric_graphs(g):
     assert_generators_give_the_group(g)
+
+
+def test_search_output_is_pinned():
+    graphs = [g for n in range(1, 8) for g in generate_all(n)] + TWIN_HEAVY + [PETERSEN]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr(canon._search(g.adj)).encode() + b"\n")
+    assert len(graphs) == 1278
+    assert digest.hexdigest() == SEARCH_SHA256
+
+
+# A triangle and a K4 hung from vertex 0. Its child with the neighbourhood
+# {1, 2, 3} passes the deletion rule only because deleting vertex 0 would cut
+# off the K4, which the new vertex misses. No connected parent on 7 vertices
+# or fewer tells this apart: asking the new vertex to meet some piece of
+# parent - u, not every piece, gives the same verdicts on all of them.
+CUT_PARENT = from_edges(8, [(0, 1), (0, 4)] + list(itertools.combinations(range(1, 4), 2))
+                        + list(itertools.combinations(range(4, 8), 2)))
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_deletion_rule_matches_definition(connected_only):
+    generate = generate_connected if connected_only else generate_all
+    for g in [g for n in range(1, 7) for g in generate(n)] + [CUT_PARENT]:
+        passes = canon._deletion_rule(g.adj, connected_only)
+        for nbhd in range(1 << g.n):
+            assert passes(nbhd) == ref_passes_deletion_rule(g, nbhd, connected_only), (g, nbhd)
 
 
 def test_cold_generation_search_count(monkeypatch):
