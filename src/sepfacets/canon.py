@@ -48,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .graphs import Graph, GraphError, components
+from .graphs import _K1, Graph, GraphError, _trusted, components
 from .limits import canonical_limit, generator_limit
 
 
@@ -241,7 +241,7 @@ def _deletion_rule(adj: tuple[int, ...], connected_only: bool) -> Callable[[int]
 @lru_cache(maxsize=None)
 def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
     if n == 1:
-        return (Graph(1, (0,)),)
+        return (_K1,)
     parents = _classes(n - 1, connected_only)
     new = n - 1
     lowest = 1 if connected_only else 0
@@ -255,7 +255,7 @@ def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
             rows.append(nbhd)
             cert = _search(rows)[0]
             if cert not in seen:
-                seen[cert] = Graph(n, tuple(rows))
+                seen[cert] = _trusted(n, tuple(rows))
     return tuple(seen[c] for c in sorted(seen))
 
 

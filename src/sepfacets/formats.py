@@ -15,7 +15,8 @@ semicolon separated: "n m;i j;i j;...".
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, edge_count, edges, from_edges
+from .graphs import Graph, GraphError, _trusted, edge_count, edges, from_edges
+from .limits import max_vertices
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -54,18 +55,19 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError("trailing garbage after graph6 body")
     if body and (body[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise FormatError("nonzero padding bits in the last graph6 byte")
-    try:
-        rows = [0] * n
-        k = 0
-        for j in range(1, n):
-            for i in range(j):
-                if (body[k // 6] - 63) >> (5 - k % 6) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                k += 1
-        return Graph(n, tuple(rows))
-    except GraphError as exc:
-        raise FormatError(str(exc)) from exc
+    cap = max_vertices()
+    if n > cap:
+        raise FormatError(f"vertex count {n} outside [1, {cap}]")
+    # the decoded rows are symmetric and loop-free by construction
+    rows = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (body[k // 6] - 63) >> (5 - k % 6) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return _trusted(n, tuple(rows))
 
 
 def emit_graph6(g: Graph) -> str:

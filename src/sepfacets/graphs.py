@@ -2,10 +2,19 @@
 
 A vertex set is a plain int used as a bitmask, so flood fills, cut scans
 and dominating-set scans are single word operations for n <= 64. Graphs
-are immutable values, validated on the way in. The structure is built on
+are immutable values. Rows are checked where they enter the package: a
+direct Graph(n, adj) call checks the vertex cap, the row count, stray bits,
+loops and symmetry; from_edges checks each pair, and formats.parse_graph6
+its own encoding. The constructors that derive a graph from graphs already
+checked (join, one_sum, induced and the deletions built on it,
+contract_vertex, contract_edges, delete_edge) and the generator's classes
+build their rows correctly by construction, so they go through _trusted,
+which skips the row checks and the dataclass __init__. _trusted still
+checks the vertex cap, because a join or a 1-sum of graphs within the cap
+can outgrow it. The structure is built on
 components(): bipartition() layers each component, contract_edges() makes
 them the quotient's vertices and blocks() splits them at every vertex.
-suspension() is the join with one vertex.
+suspension() is the join with the one-vertex graph _K1.
 """
 
 from __future__ import annotations
@@ -47,9 +56,7 @@ class Graph:
     adj: tuple[Mask, ...]
 
     def __post_init__(self) -> None:
-        cap = max_vertices()
-        if not 1 <= self.n <= cap:
-            raise GraphError(f"vertex count {self.n} outside [1, {cap}]")
+        _check_cap(self.n)
         if len(self.adj) != self.n:
             raise GraphError("adjacency row count does not match n")
         full = full_mask(self.n)
@@ -71,11 +78,39 @@ class Graph:
         return f"Graph({self.n}, {sorted(edges(self))})"
 
 
-def from_edges(n: int, edge_list: Iterable[Edge]) -> Graph:
-    """Build a graph from (possibly repeated) unordered vertex pairs."""
+def _check_cap(n: int) -> None:
     cap = max_vertices()
     if not 1 <= n <= cap:
         raise GraphError(f"vertex count {n} outside [1, {cap}]")
+
+
+_setattr = object.__setattr__
+
+
+def _trusted(n: int, adj: tuple[Mask, ...]) -> Graph:
+    """Graph(n, adj) for rows that are valid by construction: only the
+    vertex cap is checked, and the frozen dataclass's __init__ and
+    __post_init__ are skipped. The fields are set as that __init__ sets
+    them; writing g.__dict__ instead would give every Graph a dict of its
+    own, about 150 bytes more each."""
+    _check_cap(n)
+    g = object.__new__(Graph)
+    _setattr(g, "n", n)
+    _setattr(g, "adj", adj)
+    return g
+
+
+# The one-vertex graph that suspension() joins with. It is built without
+# the cap check, which reads SEP_MAX_N: a bad value there must fail the
+# call that reads it, not the import.
+_K1 = object.__new__(Graph)
+_setattr(_K1, "n", 1)
+_setattr(_K1, "adj", (0,))
+
+
+def from_edges(n: int, edge_list: Iterable[Edge]) -> Graph:
+    """Build a graph from (possibly repeated) unordered vertex pairs."""
+    _check_cap(n)
     rows = [0] * n
     for i, j in edge_list:
         if i == j:
@@ -84,7 +119,7 @@ def from_edges(n: int, edge_list: Iterable[Edge]) -> Graph:
             raise GraphError(f"edge ({i},{j}) out of range for n={n}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return _trusted(n, tuple(rows))
 
 
 def edges(g: Graph) -> list[Edge]:
@@ -183,7 +218,7 @@ def induced(g: Graph, s: Mask) -> Graph:
         raise GraphError("induced subgraph on the empty set is not defined")
     if s & ~full_mask(g.n):
         raise GraphError("vertex set has bits outside the graph")
-    return Graph(s.bit_count(), induced_rows(g.adj, s))
+    return _trusted(s.bit_count(), induced_rows(g.adj, s))
 
 
 def contract_edges(g: Graph, contract: Iterable[Edge]) -> Graph:
@@ -205,7 +240,7 @@ def contract_edges(g: Graph, contract: Iterable[Edge]) -> Graph:
         for v in iter_bits(p):
             out |= g.adj[v]
         quotient.append(sum(1 << k for k, q in enumerate(parts) if q & out & ~p))
-    return Graph(len(parts), tuple(quotient))
+    return _trusted(len(parts), tuple(quotient))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -230,7 +265,7 @@ def contract_vertex(g: Graph, v: int) -> Graph:
     _check_vertex(g, v)
     nbrs = g.adj[v]
     rows = [row | nbrs & ~bit(w) if nbrs >> w & 1 else row for w, row in enumerate(g.adj)]
-    return Graph(g.n - 1, induced_rows(rows, full_mask(g.n) ^ bit(v)))
+    return _trusted(g.n - 1, induced_rows(rows, full_mask(g.n) ^ bit(v)))
 
 
 def delete_edge(g: Graph, i: int, j: int) -> Graph:
@@ -239,7 +274,7 @@ def delete_edge(g: Graph, i: int, j: int) -> Graph:
     rows = list(g.adj)
     rows[i] &= ~bit(j)
     rows[j] &= ~bit(i)
-    return Graph(g.n, tuple(rows))
+    return _trusted(g.n, tuple(rows))
 
 
 def complement_rows(adj: tuple[Mask, ...] | list[Mask]) -> tuple[Mask, ...]:
@@ -249,7 +284,7 @@ def complement_rows(adj: tuple[Mask, ...] | list[Mask]) -> tuple[Mask, ...]:
 
 def suspension(g: Graph) -> Graph:
     """Add one apex vertex (index n) adjacent to every existing vertex."""
-    return join(g, Graph(1, (0,)))
+    return join(g, _K1)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -258,7 +293,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     right = full_mask(n) ^ full_mask(g1.n)
     rows = [g1.adj[v] | right for v in range(g1.n)]
     rows += [(g2.adj[v] << g1.n) | full_mask(g1.n) for v in range(g2.n)]
-    return Graph(n, tuple(rows))
+    return _trusted(n, tuple(rows))
 
 
 def one_sum(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
@@ -271,7 +306,7 @@ def one_sum(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     for i, j in edges(g2):
         rows[label[i]] |= 1 << label[j]
         rows[label[j]] |= 1 << label[i]
-    return Graph(len(rows), tuple(rows))
+    return _trusted(len(rows), tuple(rows))
 
 
 def blocks(adj: tuple[Mask, ...] | list[Mask]) -> list[Mask]:

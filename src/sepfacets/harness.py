@@ -109,7 +109,9 @@ def cached_count_facets(g: Graph) -> int:
 
 def _conjecture_task(args: tuple[str, BoundPair]) -> tuple[SweepRow, str | None]:
     """The row of one graph6 line, stripped of whitespace and header, and
-    why the graph was refused (None if it was counted)."""
+    why the graph was refused (None if it was counted). Any exception is
+    one graph's refusal, so it cannot abort the sweep: a ValueError (bad
+    input) gives its message, any other error its type and message."""
     line, bounds = args
     g6 = line.strip().removeprefix(GRAPH6_HEADER)
     try:
@@ -121,6 +123,8 @@ def _conjecture_task(args: tuple[str, BoundPair]) -> tuple[SweepRow, str | None]
                             classify_extremal(g)), None
     except ValueError as exc:
         reason = str(exc)
+    except Exception as exc:
+        reason = f"{type(exc).__name__}: {exc}"
     return SweepRow(g6, bounds.n, None, bounds.lower, bounds.upper, "input_error"), reason
 
 

@@ -10,12 +10,14 @@ the package's recognizers rely on edge counts.
 
 import itertools
 import random
+import sys
 from collections import deque
 
 import hypothesis
 import hypothesis.strategies as st
 from hypothesis import assume
 
+from sepfacets import graphs
 from sepfacets.graphs import (
     Graph,
     bipartition,
@@ -43,6 +45,30 @@ def mask_of(vertices):
 
 def empty_graph(n):
     return from_edges(n, [])
+
+
+def record_constructions(monkeypatch):
+    """Note the vertex count of every Graph built from here on, in two
+    lists: those checked by Graph.__post_init__ (a direct Graph(n, adj)
+    call) and those built by graphs._trusted, patched in every sepfacets
+    module that binds it."""
+    validated, trusted = [], []
+    check = Graph.__post_init__
+    build = graphs._trusted
+
+    def counted_check(self):
+        validated.append(self.n)
+        check(self)
+
+    def counted_build(n, adj):
+        trusted.append(n)
+        return build(n, adj)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted_check)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sepfacets") and getattr(module, "_trusted", None) is build:
+            monkeypatch.setattr(module, "_trusted", counted_build)
+    return validated, trusted
 
 
 def n_one_sum(n1, n2):

@@ -8,7 +8,14 @@ from sepfacets.canon import generate_connected
 from sepfacets.cli import main
 from sepfacets.formats import emit_graph6, parse_graph6
 from sepfacets.formulas import BoundPair, n_complete_multipartite
-from sepfacets.graphs import complete_bipartite, complete_graph, path_graph
+from sepfacets.graphs import (
+    complete_bipartite,
+    complete_graph,
+    join,
+    one_sum,
+    path_graph,
+    suspension,
+)
 
 EXAMPLE_SPEC = "5 7;0 1;1 2;2 3;3 4;4 0;1 3;2 4"
 
@@ -154,6 +161,23 @@ def test_build_commands(capsys):
     from sepfacets.canon import canonical_form
 
     assert canonical_form(parse_graph6(out.strip())) == canonical_form(path_graph(3))
+
+
+P30, P35, P36, P64 = (emit_graph6(path_graph(n)) for n in (30, 35, 36, 64))
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["--suspension", P64], lambda: suspension(path_graph(64))),
+    (["--join", P30, P35], lambda: join(path_graph(30), path_graph(35))),
+    (["--one-sum", P30, "0", P36, "0"], lambda: one_sum(path_graph(30), 0, path_graph(36), 0)),
+], ids=["suspension", "join", "one_sum"])
+def test_build_refuses_results_over_the_cap(monkeypatch, capsys, argv, build):
+    monkeypatch.delenv("SEP_MAX_N", raising=False)
+    code, out, err = run(capsys, "build", *argv)
+    assert (code, out, err) == (1, "", "error: vertex count 65 outside [1, 64]\n")
+    monkeypatch.setenv("SEP_MAX_N", "65")
+    code, out, _ = run(capsys, "build", *argv)
+    assert code == 0 and out == emit_graph6(build()) + "\n"
 
 
 def test_bounds(capsys):

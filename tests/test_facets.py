@@ -43,6 +43,7 @@ from conftest import (
     empty_graph,
     graph_strategy,
     mask_of,
+    record_constructions,
     ref_components,
     ref_facet_count,
     ref_facet_vectors,
@@ -432,18 +433,13 @@ def test_count_facets_builds_no_graph(monkeypatch):
         path_graph(6),
     ]
     expected = [sum(mu for _, mu in enumerate_facet_subgraphs(g)) for g in cases]
-    built = []
-    validate = Graph.__post_init__
-
-    def counted(self):
-        built.append(self.n)
-        validate(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted)
+    validated, trusted = record_constructions(monkeypatch)
     assert [count_facets(g) for g in cases] == expected
-    assert built == []
+    assert validated == trusted == []
+    # both ways of building a Graph are seen
     complete_graph(2)
-    assert built == [2]
+    Graph(3, (0, 0, 0))
+    assert (validated, trusted) == ([3], [2])
 
 
 def test_join_identity_on_connected_classes():

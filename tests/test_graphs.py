@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sepfacets.canon import canonical_form, generate_all, generate_connected
+from sepfacets.formats import emit_graph6, parse_graph6
 from sepfacets.graphs import (
     Graph,
     GraphError,
@@ -316,6 +317,45 @@ def test_constructors_refuse_results_over_the_cap(monkeypatch, build):
         build()
     monkeypatch.setenv("SEP_MAX_N", "65")
     assert build().n == 65
+
+
+def assert_fully_checked(g):
+    """g equals the Graph that Graph(n, adj) builds, with every row check."""
+    assert type(g) is Graph and type(g.adj) is tuple
+    checked = Graph(g.n, g.adj)
+    assert g == checked and hash(g) == hash(checked)
+
+
+def test_derived_graphs_pass_every_row_check():
+    # the constructors below skip the row checks; each result must still be
+    # a graph that Graph(n, adj) accepts, for every valid argument
+    small = [g for n in range(1, 6) for g in generate_all(n)]
+    for g in small + [g for n in range(1, 6) for g in generate_connected(n)]:
+        assert_fully_checked(g)
+    for g in small:
+        assert_fully_checked(from_edges(g.n, edges(g)))
+        assert_fully_checked(suspension(g))
+        assert parse_graph6(emit_graph6(g)) == g
+        assert_fully_checked(parse_graph6(emit_graph6(g)))
+        full = full_mask(g.n)
+        for s in range(1, full + 1):
+            assert_fully_checked(induced(g, s))
+        for v in range(g.n):
+            if g.n > 1:
+                assert_fully_checked(delete_vertex(g, v))
+                assert_fully_checked(contract_vertex(g, v))
+            if full & ~(g.adj[v] | 1 << v):
+                assert_fully_checked(delete_closed_neighborhood(g, v))
+        es = edges(g)
+        for i, j in es:
+            assert_fully_checked(delete_edge(g, i, j))
+        for chosen in range(1 << len(es)):
+            assert_fully_checked(contract_edges(g, [e for k, e in enumerate(es)
+                                                    if chosen >> k & 1]))
+    for g1, g2 in itertools.product(small, repeat=2):
+        assert_fully_checked(join(g1, g2))
+        for v1, v2 in itertools.product(range(g1.n), range(g2.n)):
+            assert_fully_checked(one_sum(g1, v1, g2, v2))
 
 
 def test_named_families_refuse_bad_sizes():

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import multiprocessing
 from collections import Counter
 
 import pytest
 
-from sepfacets import facets, formulas, harness
+from sepfacets import canon, facets, formulas, harness
 from sepfacets.canon import canonical_form, generate_connected
 from sepfacets.cli import main
 from sepfacets.facets import count_facets
@@ -19,12 +20,15 @@ from sepfacets.graphs import (
 )
 from sepfacets.harness import (
     IDENTITY_SUITES,
+    SweepRow,
     report_to_dict,
     report_to_json,
     sweep_conjecture,
     verify_identities,
     write_rows_csv,
 )
+
+from conftest import record_constructions
 
 
 def certs(graph6_strings):
@@ -167,6 +171,35 @@ def test_sweep_floods_each_graph_once(monkeypatch):
     assert sweep.input_errors == [(emit_graph6(disconnected), "disconnected")]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unexpected_error_is_one_graphs_input_error(monkeypatch, capsys, tmp_path, jobs):
+    # pool workers see the patched count_facets only when they are forked
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers are not forked on this platform")
+    lines = [emit_graph6(g) for g in generate_connected(5)]
+    bad = lines[3]
+    expected = sweep_conjecture(5, lines).rows
+
+    def planted(g):
+        if emit_graph6(g) == bad:
+            raise RuntimeError("planted fault")
+        return count_facets(g)
+
+    monkeypatch.setattr(harness, "count_facets", planted)
+    sweep = sweep_conjecture(5, lines, jobs=jobs)
+    assert sweep.input_errors == [(bad, "RuntimeError: planted fault")]
+    assert sweep.rows[3] == SweepRow(bad, 5, None, 10, 36, "input_error")
+    assert sweep.rows[:3] + sweep.rows[4:] == expected[:3] + expected[4:]
+    assert sweep.report.graphs_checked == len(lines) - 1
+
+    path = tmp_path / "connected5.g6"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--graph6-file", str(path), "--jobs", str(jobs)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"input error: {bad}: RuntimeError: planted fault" in err.splitlines()
+
+
 def test_mismatched_size_is_input_error():
     sweep = sweep_conjecture(4, graphs=[emit_graph6(complete_graph(3))])
     assert sweep.report.graphs_checked == 0
@@ -278,6 +311,20 @@ PERTURBED_BOUNDS = {
     "suspension_recursion": 14,
 }
 PERTURBED_DIGEST = "25c89465709dd336cf828839c1f20908aec2d918e1c452b18652fc178eb761ef"
+
+
+def test_cold_sweeps_validate_no_derived_graph(monkeypatch):
+    # every graph the generator and the identity suites build is derived
+    # from graphs already checked, so none goes through Graph.__post_init__
+    validated, trusted = record_constructions(monkeypatch)
+    canon._classes.cache_clear()
+    assert len(list(generate_connected(6))) == 112
+    assert validated == [] and trusted
+    canon._classes.cache_clear()
+    harness.cached_count_facets.cache_clear()
+    trusted.clear()
+    assert verify_identities(5).violations == []
+    assert validated == [] and trusted
 
 
 def test_identity_sweep_shares_the_generator_cap(monkeypatch):
