@@ -27,15 +27,21 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
       N = (2^n1 - 2)(2^n2 - 2) - (2^c1 - 2)(2^c2 - 2) + N^(G1) + N^(G2) - 2.
   Any other graph is the product over its blocks, as the count is
   multiplicative under 1-sums. A block that is a join goes to _count_join
-  on the same rows; any other block is relabelled and cut-scanned over the
+  on the same rows; any other block is relabelled and scanned over the
   bipartitions whose crossing edges span and connect it. Each cut adds
   the facet count of the bipartite quotient left by contracting the other
   edges: 2^(q-1) for the star that most cuts give, else a count on
-  bitmasks. Neighbourhoods of vertex sets come from two tables of 2^(n/2)
-  entries (_union_tables). enumerate_facet_subgraphs returns the scan's
-  terms as (part2, mu) pairs, so their sum is the cut count with no join
-  split. mu_of(g, part2) recounts one cut through contract_edges and
-  count_bipartite_strict, which labels with the oracle's enumerator.
+  bitmasks. A block of LANE_MIN_VERTICES (8) or more vertices is scanned
+  by _lane_sum, 2^12 cuts at a time, one cut per bit lane of big-int
+  masks, and sums its stars without listing them; a smaller block by
+  _cuts, one cut at a time, with neighbourhoods of vertex sets from two
+  tables of 2^(n/2) entries (_union_tables). enumerate_facet_subgraphs
+  returns the terms of _cuts as (part2, mu) pairs, so their sum is the
+  cut count with no join split, from a scan that shares no scan code
+  with _lane_sum: only the union tables, the components and the count of
+  a non-star quotient. mu_of(g, part2)
+  recounts one cut through contract_edges and count_bipartite_strict,
+  which labels with the oracle's enumerator.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph from the dominating sets S of the base, each giving 2^(number of
@@ -317,6 +323,12 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
     from the crossing ones. With one component on a side it is the star
     K_{1,q-1} and mu = 2^(q-1); any other goes to _strict_labelings as
     neighbour masks. Every step takes neighbourhoods from _union_tables.
+
+    count_facets sums these terms for blocks of fewer than
+    LANE_MIN_VERTICES vertices, where one cut at a time is cheaper than
+    _lane_sum's fixed cost per block; enumerate_facet_subgraphs lists them
+    for any graph, which makes this scan the reference that the lane scan
+    is checked against.
     """
     n = len(adj)
     lo, hi, h = _union_tables(adj)
@@ -343,21 +355,189 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
         if seen != part1:
             continue
         comps1 = _components(lo, hi, h, part1)
-        comps = comps1 + _components(lo, hi, h, part2)
-        if len(comps1) in (1, len(comps) - 1):
-            yield part2, 1 << (len(comps) - 1)
+        comps2 = _components(lo, hi, h, part2)
+        if len(comps1) == 1 or len(comps2) == 1:
+            yield part2, 1 << (len(comps1) + len(comps2) - 1)
             continue
-        # N(comp) meets comp itself through its internal edges; a quotient
-        # row must not, or _strict_labelings would see a loop.
-        nbrs = []
-        for k, comp in enumerate(comps):
-            touched = lo[comp & low] | hi[comp >> h]
-            row = 0
-            for j, other in enumerate(comps):
-                if touched & other and j != k:
-                    row |= 1 << j
-            nbrs.append(row)
-        yield part2, _strict_labelings(tuple(nbrs))
+        yield part2, _strict_labelings(_quotient_rows(lo, hi, h, comps1, comps2))
+
+
+def _quotient_rows(lo: list[Mask], hi: list[Mask], h: int,
+                   comps1: list[Mask], comps2: list[Mask]) -> tuple[Mask, ...]:
+    """Neighbour masks of the bipartite quotient of a cut, whose vertices
+    are comps1 then comps2, the components of part1 and part2, from the
+    union tables. Two components of one side never touch, so only pairs
+    across the cut are tried."""
+    low = (1 << h) - 1
+    k1 = len(comps1)
+    nbrs = [0] * (k1 + len(comps2))
+    for a, comp in enumerate(comps1):
+        touched = lo[comp & low] | hi[comp >> h]
+        row = 0
+        for b, other in enumerate(comps2, k1):
+            if touched & other:
+                row |= 1 << b
+                nbrs[b] |= 1 << a
+        nbrs[a] = row
+    return tuple(nbrs)
+
+
+# Cuts per chunk of the lane scan: lane i of chunk c is part2 = (c 2^L + i) << 1
+# with L = min(n - 1, LANE_BITS), so a lane mask is at most 512 bytes.
+LANE_BITS = 12
+
+# Smallest block that count_facets counts with _lane_sum rather than _cuts.
+# The lane scan pays a fixed cost per block (its patterns, edge masks and a
+# flood per vertex), which a block of 7 or fewer vertices, 64 or fewer cuts,
+# does not earn back: on seeded 2-connected blocks it takes 1.4 to 1.7 times
+# as long as _cuts at 5 and 6 vertices and about as long at 7, then 0.75
+# times at 8, 0.56 at 9 and 0.43 at 10.
+LANE_MIN_VERTICES = 8
+
+
+@lru_cache(maxsize=None)
+def _lane_patterns(width: int) -> tuple[Mask, ...]:
+    """Truth-table lane masks over 2^width lanes: lane i of pattern k is set
+    when bit k of i is. Cached: width takes at most LANE_BITS + 1 values."""
+    lanes = 1 << width
+    out = []
+    for k in range(width):
+        run = 1 << k
+        pattern = ((1 << run) - 1) << run
+        period = run << 1
+        while period < lanes:
+            pattern |= pattern << period
+            period <<= 1
+        out.append(pattern)
+    return tuple(out)
+
+
+def _lane_sum(adj: tuple[Mask, ...]) -> int:
+    """Sum of mu over the spanning connected cuts of adj, the cut count of
+    a block, computed over chunks of 2^L cuts at a time in big-int lanes.
+
+    Lane i of chunk c is the cut part2 = (c 2^L + i) << 1, L = min(n - 1,
+    LANE_BITS), so vertex 0 stays in part1 as in _cuts. Vertex v has the
+    lane mask P_v of the cuts putting it in part2: a truth-table pattern
+    for v = 1..L, all ones or all zeros for the higher vertices, and zero
+    for vertex 0. Edge uv crosses in the lanes of P_u ^ P_v, and joins one
+    side in the others. Per chunk, all by whole-lane operations:
+
+    * every vertex needs a crossing edge: the AND over v of the OR over
+      u in N(v) of P_u ^ P_v;
+    * the crossing edges must connect: a push flood from vertex 0 along
+      them, kept in the lanes that it fills;
+    * the components of each side are peeled by their lowest vertex:
+      vertex v, in order, seeds a component in the lanes that no flood
+      from a lower vertex has reached, floods it along the same-side
+      edges (the lanes of ~(P_u ^ P_v)), and adds its seed lanes to a
+      bit-sliced counter q of components;
+    * a lane where one side gets a single seed is a star, whose quotient
+      is K_{1,q-1} with mu = 2^(q-1). The stars are summed from the
+      counter, as the sum over k of 2^(k-1) times the number of star
+      lanes with q = k, without decoding them.
+
+    Only the other accepted lanes are decoded to part2; their quotients
+    are built as _cuts builds them and counted by _strict_labelings. The
+    refusal of blocks over MAX_SCAN_VERTICES comes from _union_tables,
+    before any lane mask is built.
+    """
+    n = len(adj)
+    lo, hi, h = _union_tables(adj)
+    full = full_mask(n)
+    width = min(n - 1, LANE_BITS)
+    ones = (1 << (1 << width)) - 1
+    lanes = [0, *_lane_patterns(width)]
+    nbrs = [list(iter_bits(row)) for row in adj]
+    total = 0
+    for c in range(1 << (n - 1 - width)):
+        masks = lanes + [ones if c >> k & 1 else 0 for k in range(n - 1 - width)]
+        cross: list[list[tuple[int, Mask]]] = []
+        live = ones
+        for v, row in enumerate(nbrs):
+            mv = masks[v]
+            touched = 0
+            diffs = []
+            for u in row:
+                d = masks[u] ^ mv
+                diffs.append((u, d))
+                touched |= d
+            cross.append(diffs)
+            live &= touched
+        if not live:
+            continue
+        # Flood from vertex 0 across the cut, lane by lane.
+        reached = [0] * n
+        reached[0] = live
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            rv = reached[v]
+            for u, d in cross[v]:
+                ru = reached[u]
+                grown = ru | rv & d
+                if grown != ru:
+                    reached[u] = grown
+                    stack.append(u)
+        for r in reached:
+            live &= r
+        if not live:
+            continue
+        # Peel each side's components by their lowest vertex: v seeds a
+        # component in the lanes that no flood from a lower vertex has
+        # reached, and floods them along its same-side edges. The seeds
+        # are counted in q, and a lane with a second seed on each side is
+        # not a star.
+        covered = [0] * n
+        counter: list[Mask] = []
+        seen2 = more1 = more2 = 0
+        for v in range(n):
+            seed = live ^ covered[v]
+            if not seed:
+                continue
+            mv = masks[v]
+            seed2 = seed & mv
+            if v:
+                more1 |= seed ^ seed2
+                more2 |= seen2 & seed2
+                seen2 |= seed2
+            for k, digit in enumerate(counter):
+                counter[k] = digit ^ seed
+                seed &= digit
+                if not seed:
+                    break
+            else:
+                counter.append(seed)
+            covered[v] = live
+            stack.append(v)
+            while stack:
+                x = stack.pop()
+                cx = covered[x]
+                for u, d in cross[x]:
+                    cu = covered[u]
+                    grown = cu | cx & ~d
+                    if grown != cu:
+                        covered[u] = grown
+                        stack.append(u)
+        non_star = more1 & more2
+        for i in iter_bits(non_star):
+            part2 = (c << width | i) << 1
+            total += _strict_labelings(_quotient_rows(
+                lo, hi, h, _components(lo, hi, h, full ^ part2), _components(lo, hi, h, part2)))
+        star = live ^ non_star
+        # Split the star lanes by their component count q, digit by digit.
+        by_q = {0: star}
+        for b, digit in enumerate(counter):
+            split = {}
+            for k, m in by_q.items():
+                on = m & digit
+                if on:
+                    split[k + (1 << b)] = on
+                if m ^ on:
+                    split[k] = m ^ on
+            by_q = split
+        total += sum(m.bit_count() << (k - 1) for k, m in by_q.items())
+    return total
 
 
 def enumerate_facet_subgraphs(g: Graph) -> list[tuple[Mask, int]]:
@@ -407,15 +587,25 @@ def count_facets(g: Graph) -> int:
     G1 + G2 (the complement is disconnected) of any side sizes is counted
     whole by _count_join. Any other graph is the product over its blocks
     (the count is multiplicative under 1-sums), each counted by _count_join
-    when it is a join and else by the sum of its cut multiplicities. The
+    when it is a join and else by the sum of its cut multiplicities: over
+    _lane_sum's chunks of 2^12 cuts for a block of LANE_MIN_VERTICES (8)
+    or more vertices, over _cuts one cut at a time for a smaller one,
+    whose 64 or fewer cuts do not pay back the lane scan's fixed cost. The
     complement rows are built once; only a scanned block is relabelled.
     """
     _require_connected(g)
     adj = g.adj
     co = complement_rows(adj)
     return _count_join(adj, co, full_mask(g.n)) or prod(
-        _count_join(adj, co, b) or sum(mu for _, mu in _cuts(induced_rows(adj, b)))
-        for b in blocks(adj))
+        _count_join(adj, co, b) or _scan_count(induced_rows(adj, b)) for b in blocks(adj))
+
+
+def _scan_count(rows: tuple[Mask, ...]) -> int:
+    """Sum of the cut multiplicities of a block that is not a join: by
+    _lane_sum from LANE_MIN_VERTICES vertices up, else over _cuts."""
+    if len(rows) >= LANE_MIN_VERTICES:
+        return _lane_sum(rows)
+    return sum(mu for _, mu in _cuts(rows))
 
 
 def _count_join(adj: tuple[Mask, ...], co: tuple[Mask, ...], s: Mask) -> int | None:

@@ -15,7 +15,7 @@ semicolon separated: "n m;i j;i j;...".
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, _trusted, edge_count, edges, from_edges
+from .graphs import Graph, GraphError, _bare_graph, edge_count, edges, from_edges
 from .limits import max_vertices
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -67,7 +67,7 @@ def parse_graph6(line: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
-    return _trusted(n, tuple(rows))
+    return _bare_graph(n, tuple(rows))
 
 
 def emit_graph6(g: Graph) -> str:

@@ -137,18 +137,18 @@ def complete_multipartite_parts(g: Graph) -> list[int] | None:
 
 def is_star(g: Graph) -> bool:
     """g is the star K_{1,n-1}."""
-    return _is_complete_bipartite(g, 1)
+    return _is_complete_bipartite(g, 1, edge_count(g))
 
 
 def is_balanced_complete_bipartite(g: Graph) -> bool:
     """g is K_{a,n-a} with a = n // 2, the minimizer of the bracket."""
-    return _is_complete_bipartite(g, g.n // 2)
+    return _is_complete_bipartite(g, g.n // 2, edge_count(g))
 
 
-def _is_complete_bipartite(g: Graph, a: int) -> bool:
-    """g is K_{a,n-a}: a(n - a) edges first, then the parts [a, n - a]."""
-    return (edge_count(g) == a * (g.n - a)
-            and complete_multipartite_parts(g) == sorted((a, g.n - a)))
+def _is_complete_bipartite(g: Graph, a: int, m: int) -> bool:
+    """g, with m edges, is K_{a,n-a}: a(n - a) edges first, then the parts
+    [a, n - a]."""
+    return m == a * (g.n - a) and complete_multipartite_parts(g) == sorted((a, g.n - a))
 
 
 def is_conjectured_maximizer(g: Graph) -> bool:
@@ -164,7 +164,12 @@ def is_conjectured_maximizer(g: Graph) -> bool:
     Even n (e = 1): 3k + 6t + 9 = 3n = 2m <= 6t + 12 gives k = 1 and
     m = 3t + 6, so the 4-vertex block is K4, not C4 or K4 - e.
     """
-    if g.n < 3 or 2 * edge_count(g) != 3 * g.n - 3 * (g.n % 2):
+    return _is_maximizer(g, edge_count(g))
+
+
+def _is_maximizer(g: Graph, m: int) -> bool:
+    """is_conjectured_maximizer for g with m edges."""
+    if g.n < 3 or 2 * m != 3 * g.n - 3 * (g.n % 2):
         return False
     even = 1 - g.n % 2
     sizes = sorted(vmask.bit_count() for vmask in blocks(g.adj))
@@ -179,10 +184,11 @@ def classify_extremal(g: Graph) -> str:
     which reports as a star. A disconnected graph is "none": its complement is
     connected (one part, not two), and the maximizer edge count forces connectivity.
     """
-    if is_star(g):
+    m = edge_count(g)
+    if _is_complete_bipartite(g, 1, m):
         return STAR
-    if is_balanced_complete_bipartite(g):
+    if _is_complete_bipartite(g, g.n // 2, m):
         return BALANCED_COMPLETE_BIPARTITE
-    if is_conjectured_maximizer(g):
+    if _is_maximizer(g, m):
         return ONE_SUM_OF_TRIANGLES if g.n % 2 else K4_PLUS_TRIANGLES
     return NO_CLASS

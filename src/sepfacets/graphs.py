@@ -11,7 +11,9 @@ contract_vertex, contract_edges, delete_edge) and the generator's classes
 build their rows correctly by construction, so they go through _trusted,
 which skips the row checks and the dataclass __init__. _trusted still
 checks the vertex cap, because a join or a 1-sum of graphs within the cap
-can outgrow it. The structure is built on
+can outgrow it; from_edges and parse_graph6 check the cap before they
+build any row, so they call the check-free _bare_graph behind _trusted
+and read SEP_MAX_N once per graph. The structure is built on
 components(): bipartition() layers each component, contract_edges() makes
 them the quotient's vertices and blocks() splits them at every vertex.
 suspension() is the join with the one-vertex graph _K1.
@@ -89,11 +91,18 @@ _setattr = object.__setattr__
 
 def _trusted(n: int, adj: tuple[Mask, ...]) -> Graph:
     """Graph(n, adj) for rows that are valid by construction: only the
-    vertex cap is checked, and the frozen dataclass's __init__ and
-    __post_init__ are skipped. The fields are set as that __init__ sets
-    them; writing g.__dict__ instead would give every Graph a dict of its
-    own, about 150 bytes more each."""
+    vertex cap is checked, then _bare_graph builds it."""
     _check_cap(n)
+    return _bare_graph(n, adj)
+
+
+def _bare_graph(n: int, adj: tuple[Mask, ...]) -> Graph:
+    """Graph(n, adj) with no check at all, for callers that have checked
+    the cap themselves (from_edges, formats.parse_graph6), so SEP_MAX_N is
+    read once per graph. The frozen dataclass's __init__ and __post_init__
+    are skipped and the fields set as that __init__ sets them; writing
+    g.__dict__ instead would give every Graph a dict of its own, about 150
+    bytes more each."""
     g = object.__new__(Graph)
     _setattr(g, "n", n)
     _setattr(g, "adj", adj)
@@ -103,9 +112,7 @@ def _trusted(n: int, adj: tuple[Mask, ...]) -> Graph:
 # The one-vertex graph that suspension() joins with. It is built without
 # the cap check, which reads SEP_MAX_N: a bad value there must fail the
 # call that reads it, not the import.
-_K1 = object.__new__(Graph)
-_setattr(_K1, "n", 1)
-_setattr(_K1, "adj", (0,))
+_K1 = _bare_graph(1, (0,))
 
 
 def from_edges(n: int, edge_list: Iterable[Edge]) -> Graph:
@@ -119,7 +126,7 @@ def from_edges(n: int, edge_list: Iterable[Edge]) -> Graph:
             raise GraphError(f"edge ({i},{j}) out of range for n={n}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return _trusted(n, tuple(rows))
+    return _bare_graph(n, tuple(rows))
 
 
 def edges(g: Graph) -> list[Edge]:

@@ -50,11 +50,12 @@ def empty_graph(n):
 def record_constructions(monkeypatch):
     """Note the vertex count of every Graph built from here on, in two
     lists: those checked by Graph.__post_init__ (a direct Graph(n, adj)
-    call) and those built by graphs._trusted, patched in every sepfacets
-    module that binds it."""
+    call) and those built without the row checks by graphs._bare_graph,
+    directly or through graphs._trusted, patched in every sepfacets module
+    that binds it."""
     validated, trusted = [], []
     check = Graph.__post_init__
-    build = graphs._trusted
+    build = graphs._bare_graph
 
     def counted_check(self):
         validated.append(self.n)
@@ -66,8 +67,8 @@ def record_constructions(monkeypatch):
 
     monkeypatch.setattr(Graph, "__post_init__", counted_check)
     for name, module in list(sys.modules.items()):
-        if name.startswith("sepfacets") and getattr(module, "_trusted", None) is build:
-            monkeypatch.setattr(module, "_trusted", counted_build)
+        if name.startswith("sepfacets") and getattr(module, "_bare_graph", None) is build:
+            monkeypatch.setattr(module, "_bare_graph", counted_build)
     return validated, trusted
 
 

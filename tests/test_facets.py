@@ -22,6 +22,7 @@ from sepfacets.graphs import (
     Graph,
     GraphError,
     bipartition,
+    blocks,
     complement_rows,
     complete_bipartite,
     complete_graph,
@@ -30,6 +31,8 @@ from sepfacets.graphs import (
     cycle_graph,
     edges,
     from_edges,
+    full_mask,
+    induced_rows,
     is_connected,
     join,
     one_sum,
@@ -175,9 +178,24 @@ def test_count_facets_small():
 
 
 def test_count_facets_cycle_closed_form():
-    for n in range(3, 19):
+    for n in range(3, 21):
         expected = n * comb(n - 1, (n - 1) // 2) if n % 2 else comb(n, n // 2)
         assert count_facets(cycle_graph(n)) == expected
+
+
+def grid_graph(rows, cols):
+    """The rows x cols grid, vertex r * cols + c at row r and column c."""
+    n = rows * cols
+    across = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+    down = [(v, v + cols) for v in range(n - cols)]
+    return from_edges(n, across + down)
+
+
+def test_count_facets_grid_4x6():
+    # one 24-vertex block, 2^23 cuts: 2048 chunks of the lane scan
+    g = grid_graph(4, 6)
+    assert len(edges(g)) == 38
+    assert count_facets(g) == 126534
 
 
 def test_facet_subgraphs_example():
@@ -405,6 +423,8 @@ def test_large_quotients_match_mu_of(monkeypatch):
     search = facets._strict_labelings
     monkeypatch.setattr(facets, "_strict_labelings",
                         lambda nbrs: searched.append(len(nbrs)) or search(nbrs))
+    # The lane scan sends exactly the same quotients to the search, and its
+    # sum is the cut sum.
     rng = random.Random(2)
     pairs = [(i, j) for j in range(11) for i in range(j)]
     stars, others = [], []
@@ -414,15 +434,80 @@ def test_large_quotients_match_mu_of(monkeypatch):
         if not is_connected(g):
             continue
         graphs += 1
-        for part2, mu in enumerate_facet_subgraphs(g):
+        searched.clear()
+        cuts = enumerate_facet_subgraphs(g)
+        searched_by_cuts = sorted(searched)
+        quotients = []
+        for part2, mu in cuts:
             assert mu == mu_of(g, part2)
             cross = crossing(g, part2)
             comps = ref_components(g.n, [e for e in edges(g) if e not in cross])
             side1 = sum(1 for c in comps if not part2 >> c[0] & 1)
             star = side1 in (1, len(comps) - 1)
-            (stars if star else others).append(len(comps))
+            (stars if star else quotients).append(len(comps))
+        assert searched_by_cuts == sorted(quotients)
+        searched.clear()
+        assert facets._lane_sum(g.adj) == sum(mu for _, mu in cuts)
+        assert sorted(searched) == sorted(quotients)
+        others += quotients
     assert max(stars) >= 7 and max(others) >= 7
-    assert sorted(searched) == sorted(others)
+
+
+def cut_sum(rows):
+    return sum(mu for _, mu in facets._cuts(rows))
+
+
+def test_lane_sum_matches_cuts_on_every_small_block(monkeypatch):
+    # every block of every connected class on 2..8 vertices, joins and
+    # blocks below LANE_MIN_VERTICES included: one chunk of 2^(n-1) lanes
+    monkeypatch.setenv("SEP_MAX_N", "8")
+    seen = set()
+    for n in range(2, 9):
+        for g in generate_connected(n):
+            for b in blocks(g.adj):
+                seen.add(induced_rows(g.adj, b))
+    assert max(len(rows) for rows in seen) == 8
+    for rows in seen:
+        assert facets._lane_sum(rows) == cut_sum(rows)
+
+
+def seeded_prime_blocks(sizes, seed):
+    """For each n in sizes, two seeded 2-connected graphs whose complement
+    is connected, so count_facets scans them whole: n + n // 2 and 3n edges."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for m in (n + n // 2, 3 * n):
+            while True:
+                g = from_edges(n, rng.sample(pairs, m))
+                if (blocks(g.adj) == [full_mask(g.n)]
+                        and len(components(complement_rows(g.adj))) == 1):
+                    out.append(g)
+                    break
+    return out
+
+
+def test_lane_sum_matches_cuts_across_chunks():
+    # From 14 vertices a block spans 2^(n-13) chunks of 4096 lanes, whose
+    # vertices past the 12th are all ones or all zeros in each chunk.
+    for g in seeded_prime_blocks(range(9, 17), 11):
+        assert facets._lane_sum(g.adj) == cut_sum(g.adj) == count_facets(g)
+
+
+def test_count_facets_scans_a_block_by_its_size(monkeypatch):
+    # blocks of LANE_MIN_VERTICES or more go to the lane scan, smaller ones
+    # to _cuts; the total is the block product either way
+    routes = []
+    for name in "_lane_sum", "_cuts":
+        monkeypatch.setattr(facets, name, lambda rows, name=name, f=getattr(facets, name):
+                            routes.append((name, len(rows))) or f(rows))
+    c7, c8 = cycle_graph(7), cycle_graph(8)
+    g = one_sum(one_sum(c7, 0, c8, 0), 3, complete_graph(3), 0)
+    assert count_facets(g) == count_facets(c7) * count_facets(c8) * 6
+    routes.clear()
+    count_facets(g)
+    assert sorted(routes) == [("_cuts", 7), ("_lane_sum", 8)]
 
 
 def test_count_facets_builds_no_graph(monkeypatch):
@@ -468,9 +553,13 @@ def test_join_identity_on_joins_of_all_graphs():
                     assert count_facets(g) == sum(mu for _, mu in cuts)
 
 
-def test_scan_refuses_large_blocks():
+def test_scan_refuses_large_blocks(monkeypatch):
+    # the refusal comes before the lane scan builds any lane mask
+    monkeypatch.setattr(facets, "_lane_patterns", None)
     with pytest.raises(GraphError, match="40-vertex block"):
         count_facets(cycle_graph(40))
+    with pytest.raises(GraphError, match="33-vertex block"):
+        facets._lane_sum(cycle_graph(33).adj)
     with pytest.raises(GraphError, match="33-vertex block"):
         count_suspension_via_domination(cycle_graph(33))
     with pytest.raises(GraphError, match="33-vertex block"):

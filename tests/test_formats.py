@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from sepfacets import formats, graphs
 from sepfacets.canon import generate_all
 from sepfacets.formats import (
     FormatError,
@@ -81,6 +82,20 @@ def test_malformed_inputs(monkeypatch):
     monkeypatch.delenv("SEP_MAX_N", raising=False)
     with pytest.raises(FormatError, match=r"^vertex count 65 outside \[1, 64\]$"):
         parse_graph6("~?@@" + "?" * 347)
+
+
+def test_parse_and_from_edges_read_the_cap_once(monkeypatch):
+    # each checks the vertex cap before it builds a row, and builds no
+    # second check into the Graph it returns
+    reads = []
+    for module in graphs, formats:
+        monkeypatch.setattr(module, "max_vertices", lambda: reads.append(1) or 64)
+    assert parse_graph6("C~") == complete_graph(4)
+    assert len(reads) == 2  # complete_graph(4) goes through from_edges
+    reads.clear()
+    from_edges(5, [(0, 1), (3, 4)])
+    parse_graph6("DQc")
+    assert len(reads) == 2
 
 
 def test_nonzero_padding_is_refused():

@@ -1,5 +1,6 @@
 import pytest
 
+from sepfacets import formulas
 from sepfacets.canon import generate_all
 from sepfacets.cli import main
 from sepfacets.facets import count_facets
@@ -207,6 +208,17 @@ def test_recognizers_match_explicit_definitions():
         assert classify_extremal(g) == expected
     # both outcomes of the maximizer test are exercised on many cacti
     assert 300 < maxima < len(graphs) - 300
+
+
+def test_classify_extremal_counts_edges_once(monkeypatch):
+    calls = []
+    count = formulas.edge_count
+    monkeypatch.setattr(formulas, "edge_count", lambda g: calls.append(g) or count(g))
+    graphs = [g for n in range(1, 7) for g in generate_all(n)]
+    tags = [classify_extremal(g) for g in graphs]
+    assert calls == graphs
+    assert set(tags) == {STAR, BALANCED_COMPLETE_BIPARTITE, ONE_SUM_OF_TRIANGLES,
+                         K4_PLUS_TRIANGLES, NO_CLASS}
 
 
 def test_complete_multipartite_parts_detection():
