@@ -48,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .graphs import _K1, Graph, GraphError, _trusted, components
+from .graphs import _K1, Graph, GraphError, _bare_graph, components
 from .limits import canonical_limit, generator_limit
 
 
@@ -255,7 +255,7 @@ def _classes(n: int, connected_only: bool) -> tuple[Graph, ...]:
             rows.append(nbhd)
             cert = _search(rows)[0]
             if cert not in seen:
-                seen[cert] = _trusted(n, tuple(rows))
+                seen[cert] = _bare_graph(n, tuple(rows))
     return tuple(seen[c] for c in sorted(seen))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -61,7 +62,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first main call and reused by every
+    later one in the process; importing the module builds nothing. A parse
+    keeps no state in the parser, so a reused one parses as a fresh one."""
     parser = _Parser(prog="sepfacets",
                      description="Facet counts of symmetric edge polytopes")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -30,18 +30,20 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   on the same rows; any other block is relabelled and scanned over the
   bipartitions whose crossing edges span and connect it. Each cut adds
   the facet count of the bipartite quotient left by contracting the other
-  edges: 2^(q-1) for the star that most cuts give, else a count on
-  bitmasks. A block of LANE_MIN_VERTICES (8) or more vertices is scanned
-  by _lane_sum, 2^12 cuts at a time, one cut per bit lane of big-int
-  masks, and sums its stars without listing them; a smaller block by
-  _cuts, one cut at a time, with neighbourhoods of vertex sets from two
-  tables of 2^(n/2) entries (_union_tables). enumerate_facet_subgraphs
-  returns the terms of _cuts as (part2, mu) pairs, so their sum is the
-  cut count with no join split, from a scan that shares no scan code
-  with _lane_sum: only the union tables, the components and the count of
-  a non-star quotient. mu_of(g, part2)
-  recounts one cut through contract_edges and count_bipartite_strict,
-  which labels with the oracle's enumerator.
+  edges, counted by _quotient_mu from the components of the cut's two
+  sides: with S the side of fewer components, 2^(q-1) for the star that
+  most cuts give (|S| = 1), a closed form for |S| = 2, and otherwise a
+  labeling of S alone. A block of LANE_MIN_VERTICES (8) or more
+  vertices is scanned by _lane_sum, 2^12 cuts at a time, one cut per bit
+  lane of big-int masks, and sums its stars without listing them; a
+  smaller block by _cuts, one cut at a time, with neighbourhoods of
+  vertex sets from two tables of 2^(n/2) entries (_union_tables).
+  enumerate_facet_subgraphs returns the terms of _cuts as (part2, mu)
+  pairs, so their sum is the cut count with no join split, from a scan
+  that shares no scan code with _lane_sum: only the union tables, the
+  components and _quotient_mu. mu_of(g, part2) recounts one cut through
+  contract_edges and count_bipartite_strict, which labels with the
+  oracle's enumerator.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph from the dominating sets S of the base, each giving 2^(number of
@@ -50,8 +52,9 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   product of its components' counts, a set whose complement splits is
   counted from its parts in closed form, and any other set is scanned.
 
-The two leaf counts of routes 2 and 3, _strict_labelings on a quotient's
-neighbour masks and _component_power_sum on a scanned set's rows, are pure
+The two leaf counts of routes 2 and 3, _side_labelings on the masks of a
+quotient with three or more components on each side and
+_component_power_sum on a scanned set's rows, are pure
 functions of tuples that recur across cuts and graphs, so each keeps an
 lru_cache bounded at 2^16 entries and counts each distinct tuple once per
 process. The references they are checked against, the oracle's parity
@@ -216,62 +219,119 @@ def enumerate_facets_oracle(g: Graph) -> list[tuple[int, ...]]:
     return sorted(listing)
 
 
+def _quotient_mu(lo: list[Mask], hi: list[Mask], h: int,
+                 comps1: list[Mask], comps2: list[Mask]) -> int:
+    """mu of a cut, the strict labeling count of its connected bipartite
+    quotient, from comps1 and comps2, the components of its two sides, and
+    the cut's union tables.
+
+    Let S be the side with fewer components and T the other. A T
+    component touches an S component when it meets the S component's
+    neighbourhood, one table lookup per S component. Every label on one
+    side has one parity, and a T component sits one step from each S
+    component it touches.
+
+    * |S| = 1: the quotient is the star K_{1,|T|}, and each T component
+      picks a sign: 2^|T|.
+    * |S| = 2: call the S components x and y and fix x = 0. Some T
+      component touches both, as the quotient is connected, so y is 0 or
+      +-2. With y = 0 each of the k = |T| components takes +-1 freely:
+      2^k. With y = +-2 the c components that touch both are forced to the
+      middle value and the others keep 2 choices each: 2 * 2^(k - c). In
+      all, 2^k + 2^(k - c + 1).
+    * |S| >= 3: _side_labelings, keyed on |S| and the sorted masks of the
+      S components each T component touches, as the count does not depend
+      on the order of T.
+    """
+    side, other = (comps1, comps2) if len(comps1) <= len(comps2) else (comps2, comps1)
+    k = len(other)
+    if len(side) == 1:
+        return 1 << k
+    low = (1 << h) - 1
+    near = [lo[comp & low] | hi[comp >> h] for comp in side]
+    if len(side) == 2:
+        x, y = near
+        c = 0
+        for comp in other:
+            if comp & x and comp & y:
+                c += 1
+        return (1 << k) + (1 << (k - c + 1))
+    touches = []
+    for comp in other:
+        mask = 0
+        for i, reached in enumerate(near):
+            if comp & reached:
+                mask |= 1 << i
+        touches.append(mask)
+    touches.sort()
+    return _side_labelings(len(side), tuple(touches))
+
+
 @lru_cache(maxsize=1 << 16)
-def _strict_labelings(nbrs: tuple[Mask, ...]) -> int:
-    """Homomorphisms from a connected bipartite graph into the integer path.
+def _side_labelings(s: int, touches: tuple[Mask, ...]) -> int:
+    """Strict labelings of a connected bipartite graph with s >= 2
+    vertices on one side S and one vertex on the other side T per entry
+    of touches, the mask of its S neighbours; S vertex 0 is labelled 0.
 
-    nbrs[k] is the neighbour mask of vertex k; the root 0 is labelled 0.
-    Vertices are labelled in BFS order, so every vertex after the root has
-    a labelled neighbour. Those neighbours all share one parity, and the
-    vertex may take a value adjacent to each of them: two values when they
-    agree, one when they span 2, none otherwise. A tree skips the search:
-    each of its q - 1 edges picks a sign freely.
+    Only S is labelled. Two S vertices with a common T neighbour differ
+    by 0 or 2, so each S vertex after the first takes a step of -2, 0 or
+    +2 from an earlier one it shares a T neighbour with: at most 3^(s-1)
+    labelings of S. A T vertex then has 2 labels when its neighbours
+    agree, 1 when they span 2, and none otherwise; its weight is taken as
+    soon as its last S neighbour is labelled, so a labeling of S that
+    leaves some T vertex no label is dropped with all its completions.
 
-    Cached on nbrs: the same quotient recurs across the cuts of one graph
-    and across graphs. The oracle's parity classes, and mu_of with
+    Cached on (s, touches): the same quotient recurs across the cuts of one
+    graph and across graphs. The oracle's parity classes, and mu_of with
     count_bipartite_strict, recount a cut with no shared cache or code, so
     they still check each cached value.
     """
-    q = len(nbrs)
-    if sum(row.bit_count() for row in nbrs) == 2 * (q - 1):
-        return 1 << (q - 1)
     order = [0]
-    index = [0] * q
+    parent = [0] * s
     seen = 1
-    for k in order:
-        for j in iter_bits(nbrs[k] & ~seen):
-            seen |= 1 << j
-            index[j] = len(order)
-            order.append(j)
-    back = []
-    for i, k in enumerate(order):
-        back.append([index[j] for j in iter_bits(nbrs[k]) if index[j] < i])
-    last = q - 1
-    vals = [0] * q
+    for i in order:
+        for t in touches:
+            if t >> i & 1:
+                for j in iter_bits(t & ~seen):
+                    seen |= 1 << j
+                    parent[j] = i
+                    order.append(j)
+    depth = [0] * s
+    for d, v in enumerate(order):
+        depth[v] = d
+    # The T vertices whose last S neighbour is order[d], each as the list
+    # of its S neighbours.
+    closing: list[list[list[int]]] = [[] for _ in range(s)]
+    for t in touches:
+        members = list(iter_bits(t))
+        closing[max(depth[v] for v in members)].append(members)
+    last = s - 1
+    vals = [0] * s
 
-    def extend(i: int) -> int:
-        lo = hi = vals[back[i][0]]
-        for u in back[i]:
-            v = vals[u]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-        if lo == hi:
-            if i == last:
-                return 2
-            vals[i] = lo - 1
-            total = extend(i + 1)
-            vals[i] = lo + 1
-            return total + extend(i + 1)
-        if hi - lo == 2:
-            if i == last:
-                return 1
-            vals[i] = lo + 1
-            return extend(i + 1)
-        return 0
+    def extend(d: int) -> int:
+        v = order[d]
+        base = vals[parent[v]]
+        total = 0
+        for x in (base - 2, base, base + 2):
+            vals[v] = x
+            weight = 1
+            for members in closing[d]:
+                lo = hi = x
+                for u in members:
+                    y = vals[u]
+                    if y < lo:
+                        lo = y
+                    elif y > hi:
+                        hi = y
+                if hi == lo:
+                    weight <<= 1
+                elif hi - lo != 2:
+                    break
+            else:
+                total += weight if d == last else weight * extend(d + 1)
+        return total
 
-    return extend(1)
+    return (1 << len(closing[0])) * extend(1)
 
 
 def _union_tables(adj: tuple[Mask, ...] | list[Mask]) -> tuple[list[Mask], list[Mask], int]:
@@ -320,9 +380,9 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
     Vertex 0 is pinned to part1, so each unordered cut appears once. mu is
     the strict labeling count of the cut's connected bipartite quotient: its
     vertices are the components of the same-side edges and its edges come
-    from the crossing ones. With one component on a side it is the star
-    K_{1,q-1} and mu = 2^(q-1); any other goes to _strict_labelings as
-    neighbour masks. Every step takes neighbourhoods from _union_tables.
+    from the crossing ones. _quotient_mu counts it from the components of
+    the two sides, with no quotient rows. Every step takes neighbourhoods
+    from _union_tables.
 
     count_facets sums these terms for blocks of fewer than
     LANE_MIN_VERTICES vertices, where one cut at a time is cheaper than
@@ -354,32 +414,8 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
             seen = grown
         if seen != part1:
             continue
-        comps1 = _components(lo, hi, h, part1)
-        comps2 = _components(lo, hi, h, part2)
-        if len(comps1) == 1 or len(comps2) == 1:
-            yield part2, 1 << (len(comps1) + len(comps2) - 1)
-            continue
-        yield part2, _strict_labelings(_quotient_rows(lo, hi, h, comps1, comps2))
-
-
-def _quotient_rows(lo: list[Mask], hi: list[Mask], h: int,
-                   comps1: list[Mask], comps2: list[Mask]) -> tuple[Mask, ...]:
-    """Neighbour masks of the bipartite quotient of a cut, whose vertices
-    are comps1 then comps2, the components of part1 and part2, from the
-    union tables. Two components of one side never touch, so only pairs
-    across the cut are tried."""
-    low = (1 << h) - 1
-    k1 = len(comps1)
-    nbrs = [0] * (k1 + len(comps2))
-    for a, comp in enumerate(comps1):
-        touched = lo[comp & low] | hi[comp >> h]
-        row = 0
-        for b, other in enumerate(comps2, k1):
-            if touched & other:
-                row |= 1 << b
-                nbrs[b] |= 1 << a
-        nbrs[a] = row
-    return tuple(nbrs)
+        yield part2, _quotient_mu(lo, hi, h, _components(lo, hi, h, part1),
+                                  _components(lo, hi, h, part2))
 
 
 # Cuts per chunk of the lane scan: lane i of chunk c is part2 = (c 2^L + i) << 1
@@ -421,7 +457,8 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
     lane mask P_v of the cuts putting it in part2: a truth-table pattern
     for v = 1..L, all ones or all zeros for the higher vertices, and zero
     for vertex 0. Edge uv crosses in the lanes of P_u ^ P_v, and joins one
-    side in the others. Per chunk, all by whole-lane operations:
+    side in the others; that mask is built once per block when u, v <= L,
+    and per chunk otherwise. Per chunk, all by whole-lane operations:
 
     * every vertex needs a crossing edge: the AND over v of the OR over
       u in N(v) of P_u ^ P_v;
@@ -437,8 +474,8 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
       counter, as the sum over k of 2^(k-1) times the number of star
       lanes with q = k, without decoding them.
 
-    Only the other accepted lanes are decoded to part2; their quotients
-    are built as _cuts builds them and counted by _strict_labelings. The
+    Only the other accepted lanes are decoded to part2, and each is
+    counted by _quotient_mu from its sides' components, as in _cuts. The
     refusal of blocks over MAX_SCAN_VERTICES comes from _union_tables,
     before any lane mask is built.
     """
@@ -448,22 +485,45 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
     width = min(n - 1, LANE_BITS)
     ones = (1 << (1 << width)) - 1
     lanes = [0, *_lane_patterns(width)]
-    nbrs = [list(iter_bits(row)) for row in adj]
+    # An edge between vertices 0..L crosses in the same lanes in every
+    # chunk, so its mask is built once per block. An edge with an end above
+    # L is varying: its mask is P_u, ones ^ P_u, all ones or zero, set per
+    # chunk. A block of n <= L + 1 vertices has one chunk and none.
+    fixed: list[list[tuple[int, Mask]]] = []
+    fixed_touched = []
+    varying = []
+    fixed_live = ones
+    for v, row in enumerate(adj):
+        diffs = [(u, lanes[u] ^ lanes[v]) for u in iter_bits(row)
+                 if u <= width and v <= width]
+        touched = 0
+        for _, d in diffs:
+            touched |= d
+        fixed.append(diffs)
+        fixed_touched.append(touched)
+        if v > width or row >> (width + 1):
+            varying.append((v, [u for u in iter_bits(row) if u > width or v > width]))
+        else:
+            fixed_live &= touched
+    masks, cross = lanes, fixed
     total = 0
     for c in range(1 << (n - 1 - width)):
-        masks = lanes + [ones if c >> k & 1 else 0 for k in range(n - 1 - width)]
-        cross: list[list[tuple[int, Mask]]] = []
-        live = ones
-        for v, row in enumerate(nbrs):
-            mv = masks[v]
-            touched = 0
-            diffs = []
-            for u in row:
-                d = masks[u] ^ mv
-                diffs.append((u, d))
-                touched |= d
-            cross.append(diffs)
-            live &= touched
+        live = fixed_live
+        if varying:
+            masks = lanes + [ones if c >> k & 1 else 0 for k in range(n - 1 - width)]
+            cross = fixed.copy()
+            for v, row in varying:
+                mv = masks[v]
+                touched = fixed_touched[v]
+                diffs = fixed[v].copy()
+                for u in row:
+                    d = masks[u] ^ mv
+                    diffs.append((u, d))
+                    touched |= d
+                cross[v] = diffs
+                live &= touched
+                if not live:
+                    break
         if not live:
             continue
         # Flood from vertex 0 across the cut, lane by lane.
@@ -522,8 +582,8 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
         non_star = more1 & more2
         for i in iter_bits(non_star):
             part2 = (c << width | i) << 1
-            total += _strict_labelings(_quotient_rows(
-                lo, hi, h, _components(lo, hi, h, full ^ part2), _components(lo, hi, h, part2)))
+            total += _quotient_mu(lo, hi, h, _components(lo, hi, h, full ^ part2),
+                                  _components(lo, hi, h, part2))
         star = live ^ non_star
         # Split the star lanes by their component count q, digit by digit.
         by_q = {0: star}

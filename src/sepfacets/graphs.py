@@ -6,17 +6,20 @@ are immutable values. Rows are checked where they enter the package: a
 direct Graph(n, adj) call checks the vertex cap, the row count, stray bits,
 loops and symmetry; from_edges checks each pair, and formats.parse_graph6
 its own encoding. The constructors that derive a graph from graphs already
-checked (join, one_sum, induced and the deletions built on it,
-contract_vertex, contract_edges, delete_edge) and the generator's classes
-build their rows correctly by construction, so they go through _trusted,
-which skips the row checks and the dataclass __init__. _trusted still
-checks the vertex cap, because a join or a 1-sum of graphs within the cap
-can outgrow it; from_edges and parse_graph6 check the cap before they
-build any row, so they call the check-free _bare_graph behind _trusted
-and read SEP_MAX_N once per graph. The structure is built on
-components(): bipartition() layers each component, contract_edges() makes
-them the quotient's vertices and blocks() splits them at every vertex.
-suspension() is the join with the one-vertex graph _K1.
+checked build their rows correctly by construction, so they skip the row
+checks and the dataclass __init__ through _bare_graph, which checks
+nothing. A join or a 1-sum of graphs within the vertex cap can outgrow
+it, so join and one_sum (and suspension, a join) go through _trusted,
+which checks the cap first. The others cannot outgrow a checked graph and
+read no cap: induced and the deletions built on it, contract_vertex,
+contract_edges and delete_edge have at most the vertices of their input,
+and the generator's classes at most generator_limit() <= max_vertices().
+from_edges and parse_graph6 check the cap before they build any row, and
+then call _bare_graph, so they read SEP_MAX_N once per graph. The
+structure is built on components(): bipartition() layers each component,
+contract_edges() makes them the quotient's vertices and blocks() splits
+them at every vertex. suspension() is the join with the one-vertex graph
+_K1.
 """
 
 from __future__ import annotations
@@ -99,10 +102,12 @@ def _trusted(n: int, adj: tuple[Mask, ...]) -> Graph:
 def _bare_graph(n: int, adj: tuple[Mask, ...]) -> Graph:
     """Graph(n, adj) with no check at all, for callers that have checked
     the cap themselves (from_edges, formats.parse_graph6), so SEP_MAX_N is
-    read once per graph. The frozen dataclass's __init__ and __post_init__
-    are skipped and the fields set as that __init__ sets them; writing
-    g.__dict__ instead would give every Graph a dict of its own, about 150
-    bytes more each."""
+    read once per graph, or whose result cannot outgrow a checked graph
+    (induced, contract_vertex, contract_edges, delete_edge and the
+    generator's classes), so it is not read at all. The frozen
+    dataclass's __init__ and __post_init__ are skipped and the fields set
+    as that __init__ sets them; writing g.__dict__ instead would give
+    every Graph a dict of its own, about 150 bytes more each."""
     g = object.__new__(Graph)
     _setattr(g, "n", n)
     _setattr(g, "adj", adj)
@@ -225,7 +230,7 @@ def induced(g: Graph, s: Mask) -> Graph:
         raise GraphError("induced subgraph on the empty set is not defined")
     if s & ~full_mask(g.n):
         raise GraphError("vertex set has bits outside the graph")
-    return _trusted(s.bit_count(), induced_rows(g.adj, s))
+    return _bare_graph(s.bit_count(), induced_rows(g.adj, s))
 
 
 def contract_edges(g: Graph, contract: Iterable[Edge]) -> Graph:
@@ -247,7 +252,7 @@ def contract_edges(g: Graph, contract: Iterable[Edge]) -> Graph:
         for v in iter_bits(p):
             out |= g.adj[v]
         quotient.append(sum(1 << k for k, q in enumerate(parts) if q & out & ~p))
-    return _trusted(len(parts), tuple(quotient))
+    return _bare_graph(len(parts), tuple(quotient))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -272,7 +277,7 @@ def contract_vertex(g: Graph, v: int) -> Graph:
     _check_vertex(g, v)
     nbrs = g.adj[v]
     rows = [row | nbrs & ~bit(w) if nbrs >> w & 1 else row for w, row in enumerate(g.adj)]
-    return _trusted(g.n - 1, induced_rows(rows, full_mask(g.n) ^ bit(v)))
+    return _bare_graph(g.n - 1, induced_rows(rows, full_mask(g.n) ^ bit(v)))
 
 
 def delete_edge(g: Graph, i: int, j: int) -> Graph:
@@ -281,7 +286,7 @@ def delete_edge(g: Graph, i: int, j: int) -> Graph:
     rows = list(g.adj)
     rows[i] &= ~bit(j)
     rows[j] &= ~bit(i)
-    return _trusted(g.n, tuple(rows))
+    return _bare_graph(g.n, tuple(rows))
 
 
 def complement_rows(adj: tuple[Mask, ...] | list[Mask]) -> tuple[Mask, ...]:

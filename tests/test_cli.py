@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from sepfacets import cli
 from sepfacets.canon import generate_connected
 from sepfacets.cli import main
 from sepfacets.formats import emit_graph6, parse_graph6
@@ -356,6 +357,27 @@ def test_unknown_flags_are_input_errors(capsys):
     assert code == 1 and err.startswith("error:")
     code, _, _ = run(capsys, "count")
     assert code == 1
+
+
+def test_reused_parser_parses_as_a_fresh_one(capsys):
+    # main builds its parser once per process; an error part way through a
+    # parse must leave nothing behind for the next call
+    calls = [
+        ("count", "--graph6", "C~", "--method", "nope"),
+        ("count", "--graph6", "C~"),
+        ("bounds", "--n", "7"),
+        ("count", "--edges", EXAMPLE_SPEC, "--method", "oracle"),
+        ("bounds",),
+        ("bounds", "--n", "8"),
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 1, 0]
+    assert fresh[1][1] == "14\n" and fresh[2][1].startswith("n=7 ")
 
 
 def test_k1_join_build(capsys):

@@ -34,6 +34,7 @@ from sepfacets.graphs import (
     full_mask,
     induced_rows,
     is_connected,
+    iter_bits,
     join,
     one_sum,
     path_graph,
@@ -416,41 +417,43 @@ def test_cut_multiplicities_are_oracle_parity_classes():
 
 
 def test_large_quotients_match_mu_of(monkeypatch):
-    # Sparse 11-vertex graphs reach quotients of 7 or more vertices on both
-    # branches of the cut scan: a star (one side a single component) takes
-    # 2^(q-1) without a search, any other quotient goes to the search.
-    searched = []
-    search = facets._strict_labelings
-    monkeypatch.setattr(facets, "_strict_labelings",
-                        lambda nbrs: searched.append(len(nbrs)) or search(nbrs))
-    # The lane scan sends exactly the same quotients to the search, and its
-    # sum is the cut sum.
+    # Sparse 11-vertex graphs reach quotients of 7 or more vertices in all
+    # three cases of the count, split by S, the side with fewer components:
+    # a star (|S| = 1) and |S| = 2 in closed form, and |S| >= 3 labelled on
+    # S by _side_labelings.
+    labelled = []
+    count = facets._side_labelings
+    monkeypatch.setattr(facets, "_side_labelings",
+                        lambda s, touches: labelled.append(s + len(touches)) or count(s, touches))
+    # The lane scan sends exactly the same quotients to _side_labelings,
+    # and its sum is the cut sum.
     rng = random.Random(2)
     pairs = [(i, j) for j in range(11) for i in range(j)]
-    stars, others = [], []
+    by_side = {1: [], 2: [], 3: []}
     graphs = 0
     while graphs < 4:
         g = from_edges(11, rng.sample(pairs, 15))
         if not is_connected(g):
             continue
         graphs += 1
-        searched.clear()
+        labelled.clear()
         cuts = enumerate_facet_subgraphs(g)
-        searched_by_cuts = sorted(searched)
+        labelled_by_cuts = sorted(labelled)
         quotients = []
         for part2, mu in cuts:
             assert mu == mu_of(g, part2)
             cross = crossing(g, part2)
             comps = ref_components(g.n, [e for e in edges(g) if e not in cross])
             side1 = sum(1 for c in comps if not part2 >> c[0] & 1)
-            star = side1 in (1, len(comps) - 1)
-            (stars if star else quotients).append(len(comps))
-        assert searched_by_cuts == sorted(quotients)
-        searched.clear()
+            fewer = min(side1, len(comps) - side1, 3)
+            by_side[fewer].append(len(comps))
+            if fewer == 3:
+                quotients.append(len(comps))
+        assert labelled_by_cuts == sorted(quotients)
+        labelled.clear()
         assert facets._lane_sum(g.adj) == sum(mu for _, mu in cuts)
-        assert sorted(searched) == sorted(quotients)
-        others += quotients
-    assert max(stars) >= 7 and max(others) >= 7
+        assert sorted(labelled) == sorted(quotients)
+    assert all(max(sizes) >= 7 for sizes in by_side.values())
 
 
 def cut_sum(rows):
@@ -493,6 +496,50 @@ def test_lane_sum_matches_cuts_across_chunks():
     # vertices past the 12th are all ones or all zeros in each chunk.
     for g in seeded_prime_blocks(range(9, 17), 11):
         assert facets._lane_sum(g.adj) == cut_sum(g.adj) == count_facets(g)
+
+
+def ladder(m):
+    """L_m = P_m x K2: two m-vertex paths 0..m-1 and m..2m-1 and the rungs
+    (i, m + i)."""
+    path = [(i, i + 1) for i in range(m - 1)]
+    return from_edges(2 * m, path + [(m + i, m + j) for i, j in path]
+                      + [(i, m + i) for i in range(m)])
+
+
+def test_ladder_counts():
+    # N(L_m) = 2 * 3^(m-1); from m = 8 the 2m vertices span several chunks
+    for m in range(2, 11):
+        assert count_facets(ladder(m)) == 2 * 3 ** (m - 1)
+
+
+def quotient_count(g):
+    """The cut count of a connected bipartite graph read as a quotient:
+    each vertex is a component, and the sides are its bipartition."""
+    lo, hi, h = facets._union_tables(g.adj)
+    return facets._quotient_mu(lo, hi, h, *([1 << v for v in iter_bits(side)]
+                                            for side in bipartition(g)))
+
+
+def test_quotient_count_matches_strict_count(monkeypatch):
+    # every connected bipartite class on 2..8 vertices covers all three
+    # cases; seeded graphs up to 16 vertices, both sides of 3 or more,
+    # reach _side_labelings with 3 to 7 vertices on S
+    monkeypatch.setenv("SEP_MAX_N", "8")
+    for n in range(2, 9):
+        for g in generate_connected(n):
+            if bipartition(g):
+                assert quotient_count(g) == count_bipartite_strict(g)
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(6, 16)
+        a = rng.randint(3, n - 3)
+        order = rng.sample(range(n), n)
+        pairs = [(i, j) for i in order[:a] for j in order[a:]]
+        g = from_edges(n, rng.sample(pairs, rng.randint(n - 1, min(len(pairs), 2 * n))))
+        if is_connected(g):
+            checked += 1
+            assert quotient_count(g) == count_bipartite_strict(g)
 
 
 def test_count_facets_scans_a_block_by_its_size(monkeypatch):
@@ -667,7 +714,7 @@ def cache_cases():
     return [g for n in range(2, 8) for g in generate_connected(n)] + sparse
 
 
-LEAF_CACHES = ("_strict_labelings", "_component_power_sum")
+LEAF_CACHES = ("_side_labelings", "_component_power_sum")
 
 
 def clear_leaf_caches():
@@ -686,8 +733,9 @@ def test_leaf_caches_never_change_a_count():
 
 
 def test_leaf_caches_match_uncached_counts(monkeypatch):
-    # every quotient _cuts passes and every join side scanned gives the
-    # same value from the cache as from the function behind it
+    # every quotient with three or more components on each side and every
+    # join side scanned gives the same value from the cache as from the
+    # function behind it
     keys = {name: set() for name in LEAF_CACHES}
     for name in LEAF_CACHES:
         monkeypatch.setattr(facets, name, lambda *key, seen=keys[name], f=getattr(facets, name):
@@ -700,7 +748,7 @@ def test_leaf_caches_match_uncached_counts(monkeypatch):
         assert keys[name]
         for key in keys[name]:
             assert cached(*key) == cached.__wrapped__(*key)
-    assert max(len(nbrs) for nbrs, in keys["_strict_labelings"]) >= 7
+    assert max(s + len(touches) for s, touches in keys["_side_labelings"]) >= 7
 
 
 def test_leaf_cache_reuse_in_the_n7_sweep():
@@ -709,4 +757,4 @@ def test_leaf_cache_reuse_in_the_n7_sweep():
     clear_leaf_caches()
     sweep_conjecture(7)
     info = [getattr(facets, name).cache_info() for name in LEAF_CACHES]
-    assert [(i.hits + i.misses, i.misses) for i in info] == [(1696, 43), (3094, 78)]
+    assert [(i.hits + i.misses, i.misses) for i in info] == [(63, 14), (3094, 78)]
