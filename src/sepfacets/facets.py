@@ -35,9 +35,10 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   most cuts give (|S| = 1), a closed form for |S| = 2, and otherwise a
   labeling of S alone. A block of LANE_MIN_VERTICES (8) or more
   vertices is scanned by _lane_sum, 2^12 cuts at a time, one cut per bit
-  lane of big-int masks, and sums its stars without listing them; a
-  smaller block by _cuts, one cut at a time, with neighbourhoods of
-  vertex sets from two tables of 2^(n/2) entries (_union_tables).
+  lane of big-int masks, and sums its stars, and in a chunk with enough
+  of them its cuts with |S| = 2, without listing them; a smaller block by
+  _cuts, one cut at a time, with neighbourhoods of vertex sets from two
+  tables of 2^(n/2) entries (_union_tables).
   enumerate_facet_subgraphs returns the terms of _cuts as (part2, mu)
   pairs, so their sum is the cut count with no join split, from a scan
   that shares no scan code with _lane_sum: only the union tables, the
@@ -47,10 +48,12 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph from the dominating sets S of the base, each giving 2^(number of
-  components induced on S). It walks vertex sets of the base, each given
-  with its components, so each is flooded once: a disconnected set is the
-  product of its components' counts, a set whose complement splits is
-  counted from its parts in closed form, and any other set is scanned.
+  components induced on S). It recurses over vertex sets of the base, each
+  given with its components, so each is flooded once: a disconnected set
+  is the product of its components' counts, a set whose complement splits
+  is counted from its parts in closed form, and any other set is scanned
+  by _component_power_sum, 2^12 subsets at a time in the bit lanes of
+  big-int masks, as _lane_sum scans cuts.
 
 The two leaf counts of routes 2 and 3, _side_labelings on the masks of a
 quotient with three or more components on each side and
@@ -334,6 +337,16 @@ def _side_labelings(s: int, touches: tuple[Mask, ...]) -> int:
     return (1 << len(closing[0])) * extend(1)
 
 
+def _require_scan(adj: tuple[Mask, ...] | list[Mask]) -> int:
+    """The vertex count of adj, refused when a scan over it cannot finish."""
+    n = len(adj)
+    if n > MAX_SCAN_VERTICES:
+        raise GraphError(
+            f"a {n}-vertex block is too large to scan: 2^{n - 1} or more vertex "
+            f"sets (a scan takes at most {MAX_SCAN_VERTICES} vertices)")
+    return n
+
+
 def _union_tables(adj: tuple[Mask, ...] | list[Mask]) -> tuple[list[Mask], list[Mask], int]:
     """Neighbourhood-union tables (lo, hi, h) for the rows adj.
 
@@ -343,11 +356,7 @@ def _union_tables(adj: tuple[Mask, ...] | list[Mask]) -> tuple[list[Mask], list[
     one of the 2^n sets. Scans over more than MAX_SCAN_VERTICES vertices
     are refused here, before any table is built.
     """
-    n = len(adj)
-    if n > MAX_SCAN_VERTICES:
-        raise GraphError(
-            f"a {n}-vertex block is too large to scan: 2^{n - 1} or more vertex "
-            f"sets (a scan takes at most {MAX_SCAN_VERTICES} vertices)")
+    n = _require_scan(adj)
     h = n // 2
     lo = [0]
     for row in adj[:h]:
@@ -418,8 +427,10 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
                                   _components(lo, hi, h, part2))
 
 
-# Cuts per chunk of the lane scan: lane i of chunk c is part2 = (c 2^L + i) << 1
-# with L = min(n - 1, LANE_BITS), so a lane mask is at most 512 bytes.
+# Lanes per chunk of the lane scans, 2^LANE_BITS, so a lane mask is at most
+# 512 bytes: _lane_sum takes part2 = (c 2^L + i) << 1 with L = min(n - 1,
+# LANE_BITS) in lane i of chunk c, and _component_power_sum the vertex set
+# S = c 2^L + i with L = min(n, LANE_BITS).
 LANE_BITS = 12
 
 # Smallest block that count_facets counts with _lane_sum rather than _cuts.
@@ -429,6 +440,14 @@ LANE_BITS = 12
 # as long as _cuts at 5 and 6 vertices and about as long at 7, then 0.75
 # times at 8, 0.56 at 9 and 0.43 at 10.
 LANE_MIN_VERTICES = 8
+
+# Fewest lanes with two components on the smaller side for which a chunk of
+# _lane_sum sums them in closed form rather than decoding each one. The sum
+# costs three floods per chunk whatever the count: on 13-vertex blocks with
+# 24 edges, hundreds of such lanes per chunk, it cut the lane scan to 0.70-0.75
+# of its time for any threshold from 16 to 96; on 8-vertex blocks, about six
+# such lanes each, summing every chunk took 1.09 times as long as decoding.
+TWO_LANES_MIN = 48
 
 
 @lru_cache(maxsize=None)
@@ -446,6 +465,47 @@ def _lane_patterns(width: int) -> tuple[Mask, ...]:
             period <<= 1
         out.append(pattern)
     return tuple(out)
+
+
+def _flood(marks: list[Mask], links: list[list[tuple[int, Mask]]], stack: list[int]) -> None:
+    """Push lane masks to a fixed point from the vertices on stack:
+    marks[u] |= marks[v] & d for each (u, d) in links[v]."""
+    while stack:
+        v = stack.pop()
+        mv = marks[v]
+        for u, d in links[v]:
+            mu = marks[u]
+            grown = mu | mv & d
+            if grown != mu:
+                marks[u] = grown
+                stack.append(u)
+
+
+def _add(counter: list[Mask], lanes: Mask) -> None:
+    """Add 1 in lanes to the bit-sliced counter, whose digit k holds bit k
+    of every lane's value."""
+    for k, digit in enumerate(counter):
+        counter[k] = digit ^ lanes
+        lanes &= digit
+        if not lanes:
+            return
+    counter.append(lanes)
+
+
+def _power_sum(lanes: Mask, counter: list[Mask]) -> int:
+    """Sum over lanes of 2^q, q each lane's value in counter: the lanes
+    are split by q digit by digit, without decoding them."""
+    by_q = {0: lanes}
+    for b, digit in enumerate(counter):
+        split = {}
+        for k, m in by_q.items():
+            on = m & digit
+            if on:
+                split[k + (1 << b)] = on
+            if m ^ on:
+                split[k] = m ^ on
+        by_q = split
+    return sum(m.bit_count() << k for k, m in by_q.items())
 
 
 def _lane_sum(adj: tuple[Mask, ...]) -> int:
@@ -468,14 +528,25 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
       vertex v, in order, seeds a component in the lanes that no flood
       from a lower vertex has reached, floods it along the same-side
       edges (the lanes of ~(P_u ^ P_v)), and adds its seed lanes to a
-      bit-sliced counter q of components;
+      bit-sliced counter q of components; the seeds of each side are
+      tallied up to three;
     * a lane where one side gets a single seed is a star, whose quotient
-      is K_{1,q-1} with mu = 2^(q-1). The stars are summed from the
-      counter, as the sum over k of 2^(k-1) times the number of star
-      lanes with q = k, without decoding them.
+      is K_{1,q-1} with mu = 2^(q-1), summed from the counter by q;
+    * a lane whose smaller side S (side 1 on a tie, as _quotient_mu picks)
+      has two components X and Y has mu = 2^(q-2) + 2^(r+1): that is
+      _quotient_mu's 2^k + 2^(k-c+1) with k = q - 2, and r = k - c counts
+      the components of the other side T that touch exactly one of X and
+      Y (each touches one at least, as every vertex has a crossing edge).
+      X is flooded from vertex 0 when S is side 1, else from the lane's
+      lowest part2 vertex, and Y is the rest of S. A T vertex touches X
+      in the lanes where a crossing neighbour is in X; spread along the
+      same-side edges, that marks whole T components, and r adds their
+      seeds in a second counter. A chunk with fewer than TWO_LANES_MIN
+      such lanes decodes them instead.
 
-    Only the other accepted lanes are decoded to part2, and each is
-    counted by _quotient_mu from its sides' components, as in _cuts. The
+    The stars and the summed two-component lanes are never decoded. The
+    other accepted lanes, |S| >= 3 among them, are decoded to part2 and
+    counted by _quotient_mu from their sides' components, as in _cuts. The
     refusal of blocks over MAX_SCAN_VERTICES comes from _union_tables,
     before any lane mask is built.
     """
@@ -505,13 +576,15 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
             varying.append((v, [u for u in iter_bits(row) if u > width or v > width]))
         else:
             fixed_live &= touched
-    masks, cross = lanes, fixed
+    fixed_same = [[(u, ~d) for u, d in diffs] for diffs in fixed]
+    masks, cross, same = lanes, fixed, fixed_same
     total = 0
     for c in range(1 << (n - 1 - width)):
         live = fixed_live
         if varying:
             masks = lanes + [ones if c >> k & 1 else 0 for k in range(n - 1 - width)]
             cross = fixed.copy()
+            same = fixed_same.copy()
             for v, row in varying:
                 mv = masks[v]
                 touched = fixed_touched[v]
@@ -521,6 +594,7 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
                     diffs.append((u, d))
                     touched |= d
                 cross[v] = diffs
+                same[v] = [(u, ~d) for u, d in diffs]
                 live &= touched
                 if not live:
                     break
@@ -529,74 +603,73 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
         # Flood from vertex 0 across the cut, lane by lane.
         reached = [0] * n
         reached[0] = live
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            rv = reached[v]
-            for u, d in cross[v]:
-                ru = reached[u]
-                grown = ru | rv & d
-                if grown != ru:
-                    reached[u] = grown
-                    stack.append(u)
+        _flood(reached, cross, [0])
         for r in reached:
             live &= r
         if not live:
             continue
         # Peel each side's components by their lowest vertex: v seeds a
         # component in the lanes that no flood from a lower vertex has
-        # reached, and floods them along its same-side edges. The seeds
-        # are counted in q, and a lane with a second seed on each side is
-        # not a star.
+        # reached, and floods them along its same-side edges. more1 and
+        # many1 are the lanes with a second and a third seed on side 1,
+        # which vertex 0 seeds in every lane; seen2, more2 and many2 those
+        # with a first, second and third seed on side 2.
         covered = [0] * n
+        seeds = [0] * n
+        first2 = [0] * n
         counter: list[Mask] = []
-        seen2 = more1 = more2 = 0
+        more1 = many1 = seen2 = more2 = many2 = 0
         for v in range(n):
             seed = live ^ covered[v]
             if not seed:
                 continue
-            mv = masks[v]
-            seed2 = seed & mv
+            seeds[v] = seed
             if v:
-                more1 |= seed ^ seed2
+                seed2 = seed & masks[v]
+                seed1 = seed ^ seed2
+                many1 |= more1 & seed1
+                more1 |= seed1
+                many2 |= more2 & seed2
                 more2 |= seen2 & seed2
+                first2[v] = seed2 & ~seen2
                 seen2 |= seed2
-            for k, digit in enumerate(counter):
-                counter[k] = digit ^ seed
-                seed &= digit
-                if not seed:
-                    break
-            else:
-                counter.append(seed)
+            _add(counter, seed)
             covered[v] = live
-            stack.append(v)
-            while stack:
-                x = stack.pop()
-                cx = covered[x]
-                for u, d in cross[x]:
-                    cu = covered[u]
-                    grown = cu | cx & ~d
-                    if grown != cu:
-                        covered[u] = grown
-                        stack.append(u)
+            _flood(covered, same, [v])
         non_star = more1 & more2
-        for i in iter_bits(non_star):
+        two1 = non_star & ~many1
+        two2 = non_star & many1 & ~many2
+        two = two1 | two2
+        if two.bit_count() < TWO_LANES_MIN:
+            two = 0
+        if two:
+            # X is vertex 0's component (S = side 1) or the lowest part2
+            # vertex's (S = side 2), Y the rest of S; to_x and to_y mark the
+            # T components that touch them, and once counts those touching
+            # exactly one.
+            xs = [two1] + [f & two2 for f in first2[1:]]
+            _flood(xs, same, [v for v, x in enumerate(xs) if x])
+            ys = [(two1 & ~m | two2 & m) & ~x for m, x in zip(masks, xs)]
+            to_x, to_y = [], []
+            for links in cross:
+                a = b = 0
+                for u, d in links:
+                    a |= xs[u] & d
+                    b |= ys[u] & d
+                to_x.append(a)
+                to_y.append(b)
+            for touch in to_x, to_y:
+                _flood(touch, same, [v for v, t in enumerate(touch) if t])
+            once: list[Mask] = []
+            for seed, a, b in zip(seeds, to_x, to_y):
+                if seed & (a ^ b):
+                    _add(once, seed & (a ^ b))
+            total += (_power_sum(two, counter) >> 2) + (_power_sum(two, once) << 1)
+        for i in iter_bits(non_star ^ two):
             part2 = (c << width | i) << 1
             total += _quotient_mu(lo, hi, h, _components(lo, hi, h, full ^ part2),
                                   _components(lo, hi, h, part2))
-        star = live ^ non_star
-        # Split the star lanes by their component count q, digit by digit.
-        by_q = {0: star}
-        for b, digit in enumerate(counter):
-            split = {}
-            for k, m in by_q.items():
-                on = m & digit
-                if on:
-                    split[k + (1 << b)] = on
-                if m ^ on:
-                    split[k] = m ^ on
-            by_q = split
-        total += sum(m.bit_count() << (k - 1) for k, m in by_q.items())
+        total += _power_sum(live ^ non_star, counter) >> 1
     return total
 
 
@@ -787,21 +860,56 @@ def subgraph_component_value(g: Graph) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def _component_power_sum(adj: tuple[Mask, ...], cover: Mask) -> int:
-    """Sum of 2^c(adj[S]) over the vertex sets S with cover inside N(S) | S.
+    """Sum of 2^c(adj[S]) over the vertex sets S with cover inside N(S) | S,
+    computed over chunks of 2^L sets at a time in big-int lanes.
 
-    Covers and components come from the neighbourhood-union tables, so a
-    graph on more than MAX_SCAN_VERTICES vertices is refused.
+    Lane i of chunk c is the set S = c 2^L + i, L = min(n, LANE_BITS), so
+    vertex v is in S in the lanes of a truth-table pattern M_v for v < L,
+    and in all or none of them above. Per chunk, by whole-lane operations:
+    S covers v when it meets the closed neighbourhood N[v], so the sets
+    kept are the AND over v in cover of the OR of M_u over N[v]; the
+    components of adj[S] are peeled by their lowest vertex, each seeding
+    in the lanes that no flood from a lower vertex has reached and
+    flooding along the edges of S, its seeds added to a bit-sliced
+    counter q; and the sum of 2^q comes from splitting the kept lanes by
+    q. A graph on more than MAX_SCAN_VERTICES vertices is refused before
+    any lane mask is built.
 
     Cached on (adj, cover): the same join side recurs across graphs. The
     labeling oracle and the whole-graph cut sum never call it, so the tests
     that compare them with the domination route still check each cached
     value.
     """
-    lo, hi, h = _union_tables(adj)
-    low = (1 << h) - 1
+    n = _require_scan(adj)
+    width = min(n, LANE_BITS)
+    ones = (1 << (1 << width)) - 1
+    lanes = _lane_patterns(width)
+    # Per cover vertex, the lanes where N[v] meets S below L, and the
+    # vertices of N[v] above L, each of which puts all lanes of a chunk in.
+    needs = []
+    for v in iter_bits(cover):
+        closed = adj[v] | 1 << v
+        near = 0
+        for u in iter_bits(closed & (1 << width) - 1):
+            near |= lanes[u]
+        needs.append((near, closed >> width))
     total = 0
-    for s in range(1 << len(adj)):
-        if cover & ~(lo[s & low] | hi[s >> h] | s):
+    for c in range(1 << (n - width)):
+        live = ones
+        for near, high in needs:
+            if not high & c:
+                live &= near
+        if not live:
             continue
-        total += 1 << len(_components(lo, hi, h, s))
+        masks = [*lanes, *(ones if c >> k & 1 else 0 for k in range(n - width))]
+        links = [[(u, masks[u]) for u in iter_bits(row)] for row in adj]
+        covered = [0] * n
+        counter: list[Mask] = []
+        for v, mv in enumerate(masks):
+            seed = live & mv & ~covered[v]
+            if seed:
+                _add(counter, seed)
+                covered[v] |= seed
+                _flood(covered, links, [v])
+        total += _power_sum(live, counter)
     return total

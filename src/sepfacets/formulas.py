@@ -70,7 +70,35 @@ def n_complete_multipartite(parts: list[int]) -> int:
 
 
 def conjecture_bounds(n: int) -> BoundPair:
-    """Conjectured facet-count bracket for connected graphs on n vertices."""
+    """Conjectured facet-count bracket for connected graphs on n vertices.
+
+    If every block of a graph lies in the bracket of its size, so does the
+    graph: its count is the product of its blocks' counts, a 1-sum of a
+    and b vertices has a + b - 1, and with K2's count 2 as lower(2) =
+    upper(2), for all 2 <= a <= b
+
+        upper(a) upper(b) <= upper(a + b - 1),
+        lower(a) lower(b) >= lower(a + b - 1).
+
+    Upper: upper(n) = u_n 6^floor(n/2) with u_n = 1 for odd n, 1/3 for
+    n = 2 and 7/18 for even n >= 4. The exponents add up when a or b is
+    odd, and exceed floor((a + b - 1)/2) by one when both are even. Two
+    odd sizes give 1 * 1 = 1 (equality); one odd and one even give u_even
+    <= 7/18, the factor of the even size a + b - 1 >= 4; two even sizes
+    give 6 u_a u_b <= 6 (7/18)^2 < 1.
+
+    Lower: lower(n) = x_n - 2 with x_n = 3 * 2^floor(n/2) for odd n and
+    2 * 2^floor(n/2) for even n, so lower(a) lower(b) - lower(a + b - 1) =
+    x_a x_b - x_{a+b-1} + 6 - 2 (x_a + x_b). With p = floor(a/2) >= 1,
+    q = floor(b/2) >= 1 and s = floor((a + b - 1)/2), (2^p - 2)(2^q - 2)
+    >= 0 gives 2^p + 2^q <= 2^(p+q-1) + 2, so the difference is at least:
+
+    * a, b odd (p + q = s >= 2): 6 * 2^s + 6 - 6 (2^(s-1) + 2) = 3 * 2^s - 6 > 0;
+    * one odd, a say (p + q = s >= 2, p <= s - 1): 4 * 2^s + 6 - 2 (3 * 2^p
+      + 2 * 2^q), where 3 * 2^p + 2 * 2^q <= 2 (2^(s-1) + 2) + 2^(s-1), so
+      at least 2^s - 2 > 0;
+    * a, b even (p + q = s + 1): 5 * 2^s + 6 - 4 (2^s + 2) = 2^s - 2 >= 0.
+    """
     if n < 3:
         raise ValueError("bounds are stated for n >= 3")
     if n % 2 == 1:

@@ -162,6 +162,24 @@ def ref_components(n, edge_list):
     return comps
 
 
+def ref_component_power_sum(adj, cover):
+    """Sum of 2^c(adj[S]) over the vertex sets S with cover inside N(S) | S,
+    one set at a time: the cover from the rows of S, the components of
+    adj[S] by ref_components on the edges inside S."""
+    n = len(adj)
+    edge_list = [(i, j) for j in range(n) for i in range(j) if adj[j] >> i & 1]
+    total = 0
+    for s in range(1 << n):
+        reached = s
+        for v in iter_bits(s):
+            reached |= adj[v]
+        if cover & ~reached:
+            continue
+        kept = [(i, j) for i, j in edge_list if s >> i & 1 and s >> j & 1]
+        total += 1 << sum(1 for comp in ref_components(n, kept) if s >> comp[0] & 1)
+    return total
+
+
 def ref_reach(n, edge_list, start, allowed):
     """Vertices reachable from the start vertices while staying inside the
     allowed ones, as a sorted list, by BFS with a queue on an adjacency

@@ -48,6 +48,7 @@ from conftest import (
     graph_strategy,
     mask_of,
     record_constructions,
+    ref_component_power_sum,
     ref_components,
     ref_facet_count,
     ref_facet_vectors,
@@ -375,6 +376,30 @@ def test_domination_route_matches_brute_sum():
             assert subgraph_component_value(g) == every
 
 
+def test_component_power_sum_matches_set_by_set_reference():
+    # one chunk of 2^n lanes up to 12 vertices; from 13 to 16 vertices 2 to
+    # 16 chunks, in which each vertex past the 12th is in every set or none
+    for n in range(1, 8):
+        for g in generate_all(n):
+            for cover in 0, full_mask(n):
+                assert (facets._component_power_sum(g.adj, cover)
+                        == ref_component_power_sum(g.adj, cover))
+    rng = random.Random(17)
+    for n in range(13, 17):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        g = from_edges(n, rng.sample(pairs, rng.randint(n, 3 * n)))
+        cover = rng.getrandbits(n)
+        assert facets._component_power_sum(g.adj, cover) == ref_component_power_sum(g.adj, cover)
+
+
+def test_wheels_match_the_set_by_set_domination_count(monkeypatch):
+    # a wheel on k + 1 vertices is a cone over C_k, counted from N^(C_k)
+    wheels = [join(complete_graph(1), cycle_graph(k)) for k in range(4, 17)]
+    lanes = [count_facets(w) for w in wheels]
+    monkeypatch.setattr(facets, "_component_power_sum", ref_component_power_sum)
+    assert [count_facets(w) for w in wheels] == lanes
+
+
 @settings(max_examples=40, deadline=None)
 @given(graph_strategy(min_n=1, max_n=5))
 def test_q_value_bounds_suspension(g):
@@ -460,15 +485,21 @@ def cut_sum(rows):
     return sum(mu for _, mu in facets._cuts(rows))
 
 
-def test_lane_sum_matches_cuts_on_every_small_block(monkeypatch):
-    # every block of every connected class on 2..8 vertices, joins and
-    # blocks below LANE_MIN_VERTICES included: one chunk of 2^(n-1) lanes
+def small_blocks(monkeypatch):
+    """The distinct blocks of the connected classes on 2..8 vertices, joins
+    and blocks below LANE_MIN_VERTICES included, as rows."""
     monkeypatch.setenv("SEP_MAX_N", "8")
     seen = set()
     for n in range(2, 9):
         for g in generate_connected(n):
             for b in blocks(g.adj):
                 seen.add(induced_rows(g.adj, b))
+    return seen
+
+
+def test_lane_sum_matches_cuts_on_every_small_block(monkeypatch):
+    # one chunk of 2^(n-1) lanes
+    seen = small_blocks(monkeypatch)
     assert max(len(rows) for rows in seen) == 8
     for rows in seen:
         assert facets._lane_sum(rows) == cut_sum(rows)
@@ -510,6 +541,25 @@ def test_ladder_counts():
     # N(L_m) = 2 * 3^(m-1); from m = 8 the 2m vertices span several chunks
     for m in range(2, 11):
         assert count_facets(ladder(m)) == 2 * 3 ** (m - 1)
+
+
+def test_two_component_lanes_sum_either_way(monkeypatch):
+    # At threshold 0 every chunk sums its lanes with two components on the
+    # smaller side in closed form, so only quotients with three or more
+    # components on each side are decoded; at 2^13 no chunk does, and
+    # those lanes are decoded.
+    cases = [*small_blocks(monkeypatch), *(g.adj for g in seeded_prime_blocks(range(9, 17), 11)),
+             *(ladder(m).adj for m in range(2, 11))]
+    expected = [cut_sum(rows) for rows in cases]
+    decoded = []
+    mu = facets._quotient_mu
+    monkeypatch.setattr(facets, "_quotient_mu", lambda lo, hi, h, comps1, comps2:
+                        decoded.append(min(len(comps1), len(comps2))) or mu(lo, hi, h, comps1, comps2))
+    for threshold in 0, 1 << 13:
+        monkeypatch.setattr(facets, "TWO_LANES_MIN", threshold)
+        decoded.clear()
+        assert [facets._lane_sum(rows) for rows in cases] == expected
+        assert min(decoded) == (3 if threshold == 0 else 2)
 
 
 def quotient_count(g):

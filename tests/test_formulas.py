@@ -95,6 +95,22 @@ def test_conjecture_bounds_values():
         conjecture_bounds(2)
 
 
+def test_bracket_holds_under_one_sums():
+    # the separable reduction proved in conjecture_bounds: blocks of a and
+    # b vertices make a 1-sum of a + b - 1, and K2 counts 2
+    def bracket(n):
+        if n == 2:
+            return 2, 2
+        bounds = conjecture_bounds(n)
+        return bounds.lower, bounds.upper
+
+    for b in range(2, 64):
+        for a in range(2, min(b, 65 - b) + 1):
+            (lo_a, up_a), (lo_b, up_b), (lo, up) = bracket(a), bracket(b), bracket(a + b - 1)
+            assert up_a * up_b <= up
+            assert lo_a * lo_b >= lo
+
+
 def test_balanced_bipartite_closed_form_is_the_lower_bound():
     # the bracket's lower bound is the closed form of its minimizer
     assert n_complete_bipartite(1, 1) == 2
