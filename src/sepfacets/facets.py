@@ -19,8 +19,9 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   their multiplicities; enumerate_facets_oracle lists them as value tuples
   from the same single walk.
 
-* count_facets runs on adjacency rows, builds no Graph and makes one flat
-  pass over vertex sets of the input's rows, with one complement. A join
+* count_facets runs on adjacency rows and builds no Graph. Its per-graph
+  part, count_plan, makes one flat pass over vertex sets of the input's
+  rows, with one complement, and leaves only the lane scans. A join
   G1 + G2 (the complement is disconnected), whatever its side sizes, goes
   whole to _count_join, which derives from each side's vertex count n_i,
   component count c_i and domination count N^ (below)
@@ -34,14 +35,18 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   sides: with S the side of fewer components, 2^(q-1) for the star that
   most cuts give (|S| = 1), a closed form for |S| = 2, and otherwise a
   labeling of S alone. A block of LANE_MIN_VERTICES (8) or more
-  vertices is scanned by _lane_sum, 2^12 cuts at a time, one cut per bit
+  vertices is scanned by _lane_sums, 2^12 cuts at a time, one cut per bit
   lane of big-int masks, and sums its stars, and in a chunk with enough
   of them its cuts with |S| = 2, without listing them; a smaller block by
   _cuts, one cut at a time, with neighbourhoods of vertex sets from two
-  tables of 2^(n/2) entries (_union_tables).
+  tables of 2^(n/2) entries (_union_tables). The lanes of one chunk hold
+  the cuts of up to 2^(13-n) blocks of the same size n: count_many
+  queues the blocks of many graphs by size and scans a queue once it
+  fills a chunk (32 blocks of 8 vertices, 16 of 9), and count_facets is
+  its one-graph case, a batch of one per block.
   enumerate_facet_subgraphs returns the terms of _cuts as (part2, mu)
   pairs, so their sum is the cut count with no join split, from a scan
-  that shares no scan code with _lane_sum: only the union tables, the
+  that shares no scan code with _lane_sums: only the union tables, the
   components and _quotient_mu. mu_of(g, part2) recounts one cut through
   contract_edges and count_bipartite_strict, which labels with the
   oracle's enumerator.
@@ -53,7 +58,7 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   is the product of its components' counts, a set whose complement splits
   is counted from its parts in closed form, and any other set is scanned
   by _component_power_sum, 2^12 subsets at a time in the bit lanes of
-  big-int masks, as _lane_sum scans cuts.
+  big-int masks, as _lane_sums scans cuts.
 
 The two leaf counts of routes 2 and 3, _side_labelings on the masks of a
 quotient with three or more components on each side and
@@ -70,9 +75,10 @@ labeler runs over more than MAX_ORACLE_VERTICES, are refused with GraphError.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from math import prod
-from typing import Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .graphs import (
     Graph,
@@ -428,25 +434,28 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
 
 
 # Lanes per chunk of the lane scans, 2^LANE_BITS, so a lane mask is at most
-# 512 bytes: _lane_sum takes part2 = (c 2^L + i) << 1 with L = min(n - 1,
-# LANE_BITS) in lane i of chunk c, and _component_power_sum the vertex set
-# S = c 2^L + i with L = min(n, LANE_BITS).
+# 512 bytes. _lane_sums gives a batch of blocks of n vertices a slot of 2^L
+# lanes each, L = min(n - 1, LANE_BITS), and takes part2 = (c 2^L + i) << 1
+# in lane i of a slot in chunk c: a chunk holds the one chunk of each of
+# 2^(LANE_BITS - L) blocks (32 of 8 vertices, 16 of 9), or 2^L of the cuts
+# of one block of LANE_BITS + 1 or more. _component_power_sum takes the
+# vertex set S = c 2^L + i with L = min(n, LANE_BITS).
 LANE_BITS = 12
 
-# Smallest block that count_facets counts with _lane_sum rather than _cuts.
-# The lane scan pays a fixed cost per block (its patterns, edge masks and a
+# Smallest block that count_facets counts with _lane_sums rather than _cuts.
+# The lane scan pays a fixed cost per batch (its patterns, edge masks and a
 # flood per vertex), which a block of 7 or fewer vertices, 64 or fewer cuts,
-# does not earn back: on seeded 2-connected blocks it takes 1.4 to 1.7 times
-# as long as _cuts at 5 and 6 vertices and about as long at 7, then 0.75
-# times at 8, 0.56 at 9 and 0.43 at 10.
+# does not earn back alone: on seeded 2-connected blocks, one to a batch, it
+# takes 1.4 to 1.7 times as long as _cuts at 5 and 6 vertices and about as
+# long at 7, then 0.75 times at 8, 0.56 at 9 and 0.43 at 10.
 LANE_MIN_VERTICES = 8
 
 # Fewest lanes with two components on the smaller side for which a chunk of
-# _lane_sum sums them in closed form rather than decoding each one. The sum
+# _lane_sums sums them in closed form rather than decoding each one. The sum
 # costs three floods per chunk whatever the count: on 13-vertex blocks with
 # 24 edges, hundreds of such lanes per chunk, it cut the lane scan to 0.70-0.75
-# of its time for any threshold from 16 to 96; on 8-vertex blocks, about six
-# such lanes each, summing every chunk took 1.09 times as long as decoding.
+# of its time for any threshold from 16 to 96; on one 8-vertex block, about
+# six such lanes, summing every chunk took 1.09 times as long as decoding.
 TWO_LANES_MIN = 48
 
 
@@ -469,7 +478,8 @@ def _lane_patterns(width: int) -> tuple[Mask, ...]:
 
 def _flood(marks: list[Mask], links: list[list[tuple[int, Mask]]], stack: list[int]) -> None:
     """Push lane masks to a fixed point from the vertices on stack:
-    marks[u] |= marks[v] & d for each (u, d) in links[v]."""
+    marks[u] |= marks[v] & d for each (u, d) in links[v]. A vertex already
+    on the stack is not pushed again, as it pushes its marks when popped."""
     while stack:
         v = stack.pop()
         mv = marks[v]
@@ -478,7 +488,8 @@ def _flood(marks: list[Mask], links: list[list[tuple[int, Mask]]], stack: list[i
             grown = mu | mv & d
             if grown != mu:
                 marks[u] = grown
-                stack.append(u)
+                if u not in stack:
+                    stack.append(u)
 
 
 def _add(counter: list[Mask], lanes: Mask) -> None:
@@ -492,9 +503,12 @@ def _add(counter: list[Mask], lanes: Mask) -> None:
     counter.append(lanes)
 
 
-def _power_sum(lanes: Mask, counter: list[Mask]) -> int:
-    """Sum over lanes of 2^q, q each lane's value in counter: the lanes
-    are split by q digit by digit, without decoding them."""
+def _power_sums(totals: list[int], lanes: Mask, counter: list[Mask], span: int,
+                shift: int = 0) -> None:
+    """Add to totals[j] the sum of 2^(q + shift) over the lanes in slot j,
+    lanes j span to (j + 1) span - 1, q each lane's value in counter (q +
+    shift >= 0): the lanes are split by q digit by digit, without decoding
+    them."""
     by_q = {0: lanes}
     for b, digit in enumerate(counter):
         split = {}
@@ -505,31 +519,42 @@ def _power_sum(lanes: Mask, counter: list[Mask]) -> int:
             if m ^ on:
                 split[k] = m ^ on
         by_q = split
-    return sum(m.bit_count() << k for k, m in by_q.items())
+    slot = (1 << span) - 1
+    for k, m in by_q.items():
+        j = 0
+        while m:
+            totals[j] += (m & slot).bit_count() << k + shift
+            m >>= span
+            j += 1
 
 
-def _lane_sum(adj: tuple[Mask, ...]) -> int:
-    """Sum of mu over the spanning connected cuts of adj, the cut count of
-    a block, computed over chunks of 2^L cuts at a time in big-int lanes.
+def _lane_sums(blocks: list[tuple[Mask, ...]]) -> list[int]:
+    """Sum of mu over the spanning connected cuts of each of blocks, all of
+    n vertices, the cut count of each, computed over chunks of 2^LANE_BITS
+    big-int lanes.
 
-    Lane i of chunk c is the cut part2 = (c 2^L + i) << 1, L = min(n - 1,
-    LANE_BITS), so vertex 0 stays in part1 as in _cuts. Vertex v has the
-    lane mask P_v of the cuts putting it in part2: a truth-table pattern
-    for v = 1..L, all ones or all zeros for the higher vertices, and zero
-    for vertex 0. Edge uv crosses in the lanes of P_u ^ P_v, and joins one
-    side in the others; that mask is built once per block when u, v <= L,
-    and per chunk otherwise. Per chunk, all by whole-lane operations:
+    Block j takes slot j, the 2^L lanes from j 2^L, L = min(n - 1,
+    LANE_BITS): a batch of n - 1 < LANE_BITS holds up to 2^(LANE_BITS - L)
+    blocks in one chunk, and a block of more vertices is a batch of one,
+    scanned over 2^(n - 1 - L) chunks. Lane i of slot j in chunk c is block
+    j's cut part2 = (c 2^L + i) << 1, so vertex 0 stays in part1 as in
+    _cuts. Vertex v has the lane mask P_v of the cuts putting it in part2:
+    a truth-table pattern for v = 1..L, repeated in every slot, all ones or
+    all zeros for the higher vertices, and zero for vertex 0. Edge uv lies
+    in the slots E_uv of the blocks that have it: it crosses in the lanes
+    of (P_u ^ P_v) & E_uv and joins one side in the rest of E_uv. Those
+    masks are built once per batch when u, v <= L, and per chunk otherwise.
+    Per chunk, all by whole-lane operations:
 
     * every vertex needs a crossing edge: the AND over v of the OR over
-      u in N(v) of P_u ^ P_v;
+      u of the lanes where uv crosses;
     * the crossing edges must connect: a push flood from vertex 0 along
       them, kept in the lanes that it fills;
     * the components of each side are peeled by their lowest vertex:
       vertex v, in order, seeds a component in the lanes that no flood
       from a lower vertex has reached, floods it along the same-side
-      edges (the lanes of ~(P_u ^ P_v)), and adds its seed lanes to a
-      bit-sliced counter q of components; the seeds of each side are
-      tallied up to three;
+      edges, and adds its seed lanes to a bit-sliced counter q of
+      components; the seeds of each side are tallied up to three;
     * a lane where one side gets a single seed is a star, whose quotient
       is K_{1,q-1} with mu = 2^(q-1), summed from the counter by q;
     * a lane whose smaller side S (side 1 on a tie, as _quotient_mu picks)
@@ -542,43 +567,57 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
       in the lanes where a crossing neighbour is in X; spread along the
       same-side edges, that marks whole T components, and r adds their
       seeds in a second counter. A chunk with fewer than TWO_LANES_MIN
-      such lanes decodes them instead.
+      such lanes, counted over all its slots, decodes them instead.
 
-    The stars and the summed two-component lanes are never decoded. The
-    other accepted lanes, |S| >= 3 among them, are decoded to part2 and
-    counted by _quotient_mu from their sides' components, as in _cuts. The
-    refusal of blocks over MAX_SCAN_VERTICES comes from _union_tables,
-    before any lane mask is built.
+    The stars and the summed two-component lanes are never decoded; their
+    sums are split back by slot. The other accepted lanes, |S| >= 3 among
+    them, are decoded to part2 and counted by _quotient_mu from their
+    sides' components, as in _cuts, on the union tables of their slot's
+    block. Blocks over MAX_SCAN_VERTICES are refused before any lane mask
+    is built.
     """
-    n = len(adj)
-    lo, hi, h = _union_tables(adj)
-    full = full_mask(n)
+    n = _require_scan(blocks[0])
     width = min(n - 1, LANE_BITS)
-    ones = (1 << (1 << width)) - 1
-    lanes = [0, *_lane_patterns(width)]
+    span = 1 << width
+    full = full_mask(n)
+    ones = (1 << (len(blocks) << width)) - 1
+    lanes = [0, *(p & ones for p in _lane_patterns(LANE_BITS)[:width])]
     # An edge between vertices 0..L crosses in the same lanes in every
-    # chunk, so its mask is built once per block. An edge with an end above
-    # L is varying: its mask is P_u, ones ^ P_u, all ones or zero, set per
-    # chunk. A block of n <= L + 1 vertices has one chunk and none.
+    # chunk, so its masks are built once per batch; its slots E_uv are bit
+    # u of v's rows stacked one to a slot, spread over the slot. An edge
+    # with an end above L is varying: its mask is P_u, ones ^ P_u, all ones
+    # or zero, set per chunk. Only a batch of one block of n > L + 1
+    # vertices has any.
+    fill = (1 << span) - 1
+    firsts = ones // fill
     fixed: list[list[tuple[int, Mask]]] = []
+    fixed_same: list[list[tuple[int, Mask]]] = []
     fixed_touched = []
     varying = []
     fixed_live = ones
-    for v, row in enumerate(adj):
-        diffs = [(u, lanes[u] ^ lanes[v]) for u in iter_bits(row)
-                 if u <= width and v <= width]
+    for v in range(n):
+        row = stacked = 0
+        for j, rows in enumerate(blocks):
+            row |= rows[v]
+            stacked |= rows[v] << (j << width)
+        diffs, same = [], []
         touched = 0
-        for _, d in diffs:
+        for u in iter_bits(row & (2 << width) - 1 if v <= width else 0):
+            e = (stacked >> u & firsts) * fill
+            d = (lanes[u] ^ lanes[v]) & e
+            diffs.append((u, d))
+            same.append((u, e ^ d))
             touched |= d
         fixed.append(diffs)
+        fixed_same.append(same)
         fixed_touched.append(touched)
         if v > width or row >> (width + 1):
             varying.append((v, [u for u in iter_bits(row) if u > width or v > width]))
         else:
             fixed_live &= touched
-    fixed_same = [[(u, ~d) for u, d in diffs] for diffs in fixed]
     masks, cross, same = lanes, fixed, fixed_same
-    total = 0
+    totals = [0] * len(blocks)
+    tables = [None] * len(blocks)
     for c in range(1 << (n - 1 - width)):
         live = fixed_live
         if varying:
@@ -594,7 +633,7 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
                     diffs.append((u, d))
                     touched |= d
                 cross[v] = diffs
-                same[v] = [(u, ~d) for u, d in diffs]
+                same[v] = [(u, ones ^ d) for u, d in diffs]
                 live &= touched
                 if not live:
                     break
@@ -642,6 +681,7 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
         two = two1 | two2
         if two.bit_count() < TWO_LANES_MIN:
             two = 0
+        _power_sums(totals, live ^ non_star, counter, span, -1)
         if two:
             # X is vertex 0's component (S = side 1) or the lowest part2
             # vertex's (S = side 2), Y the rest of S; to_x and to_y mark the
@@ -664,13 +704,15 @@ def _lane_sum(adj: tuple[Mask, ...]) -> int:
             for seed, a, b in zip(seeds, to_x, to_y):
                 if seed & (a ^ b):
                     _add(once, seed & (a ^ b))
-            total += (_power_sum(two, counter) >> 2) + (_power_sum(two, once) << 1)
+            _power_sums(totals, two, counter, span, -2)
+            _power_sums(totals, two, once, span, 1)
         for i in iter_bits(non_star ^ two):
-            part2 = (c << width | i) << 1
-            total += _quotient_mu(lo, hi, h, _components(lo, hi, h, full ^ part2),
-                                  _components(lo, hi, h, part2))
-        total += _power_sum(live ^ non_star, counter) >> 1
-    return total
+            j = i >> width
+            lo, hi, h = tables[j] = tables[j] or _union_tables(blocks[j])
+            part2 = (c << width | i & span - 1) << 1
+            totals[j] += _quotient_mu(lo, hi, h, _components(lo, hi, h, full ^ part2),
+                                      _components(lo, hi, h, part2))
+    return totals
 
 
 def enumerate_facet_subgraphs(g: Graph) -> list[tuple[Mask, int]]:
@@ -716,29 +758,95 @@ def mu_of(g: Graph, part2: Mask) -> int:
 
 
 def count_facets(g: Graph) -> int:
-    """Facet count by one flat pass over vertex sets of g's rows. A join
-    G1 + G2 (the complement is disconnected) of any side sizes is counted
-    whole by _count_join. Any other graph is the product over its blocks
-    (the count is multiplicative under 1-sums), each counted by _count_join
-    when it is a join and else by the sum of its cut multiplicities: over
-    _lane_sum's chunks of 2^12 cuts for a block of LANE_MIN_VERTICES (8)
-    or more vertices, over _cuts one cut at a time for a smaller one,
-    whose 64 or fewer cuts do not pay back the lane scan's fixed cost. The
-    complement rows are built once; only a scanned block is relabelled.
+    """Facet count of g, the one-graph case of count_many: each block that
+    count_plan leaves to scan is a batch of one to _lane_sums. Refuses what
+    count_plan refuses."""
+    count, scans = count_plan(g)
+    for rows in scans:
+        count *= _lane_sums([rows])[0]
+    return count
+
+
+# count_plan(g): the count of g is factor * the product of the _lane_sums of
+# the blocks in scans.
+Plan = tuple[int, list[tuple[Mask, ...]]]
+Tag = TypeVar("Tag")
+
+
+def count_plan(g: Graph) -> Plan:
+    """The per-graph part of a facet count: one flat pass over vertex sets
+    of g's rows that does everything but the lane scans, and makes every
+    refusal. A join G1 + G2 (the complement is disconnected) of any side
+    sizes is counted whole by _count_join. Any other graph is the product
+    over its blocks (the count is multiplicative under 1-sums): a block
+    that is a join is counted by _count_join, one of fewer than
+    LANE_MIN_VERTICES vertices by its cut multiplicities over _cuts, one
+    cut at a time, as its 64 or fewer cuts do not pay back a lane scan's
+    fixed cost; any other block is left in scans, relabelled, for
+    _lane_sums, and refused here if it is over MAX_SCAN_VERTICES. The
+    complement rows are built once.
     """
     _require_connected(g)
     adj = g.adj
     co = complement_rows(adj)
-    return _count_join(adj, co, full_mask(g.n)) or prod(
-        _count_join(adj, co, b) or _scan_count(induced_rows(adj, b)) for b in blocks(adj))
+    whole = _count_join(adj, co, full_mask(g.n))
+    if whole is not None:
+        return whole, []
+    factor, scans = 1, []
+    for b in blocks(adj):
+        count = _count_join(adj, co, b)
+        if count is None:
+            rows = induced_rows(adj, b)
+            if len(rows) >= LANE_MIN_VERTICES:
+                _require_scan(rows)
+                scans.append(rows)
+                continue
+            count = sum(mu for _, mu in _cuts(rows))
+        factor *= count
+    return factor, scans
 
 
-def _scan_count(rows: tuple[Mask, ...]) -> int:
-    """Sum of the cut multiplicities of a block that is not a join: by
-    _lane_sum from LANE_MIN_VERTICES vertices up, else over _cuts."""
-    if len(rows) >= LANE_MIN_VERTICES:
-        return _lane_sum(rows)
-    return sum(mu for _, mu in _cuts(rows))
+def count_many(items: Iterable[tuple[Tag, Plan | None]]) -> Iterator[tuple[Tag, int | None]]:
+    """(tag, count) for each (tag, plan) of items, in input order: plan is
+    count_plan(g) of a graph g, or None, whose count is None.
+
+    The scans of many graphs share lane scans. Each block left to scan
+    waits in the queue of its vertex count n, and a queue is scanned by
+    one _lane_sums call when it fills a chunk, 2^(LANE_BITS - n + 1)
+    blocks below LANE_BITS + 1 vertices and one from there, or when the
+    input ends. Items are pulled one at a time and each count is yielded
+    once it and every earlier count are known, so at most a chunk of
+    blocks per size is held at a time.
+    """
+    pending: deque[list] = deque()
+    queues: dict[int, list] = {}
+    for tag, plan in items:
+        factor, scans = plan or (None, ())
+        # the count so far and the scans it waits for
+        entry = [tag, factor, len(scans)]
+        pending.append(entry)
+        for rows in scans:
+            queue = queues.setdefault(len(rows), [])
+            queue.append((entry, rows))
+            if len(queue) << min(len(rows) - 1, LANE_BITS) >= 1 << LANE_BITS:
+                _scan_queue(queue)
+        while pending and not pending[0][2]:
+            tag, count, _ = pending.popleft()
+            yield tag, count
+    for queue in queues.values():
+        _scan_queue(queue)
+    for tag, count, _ in pending:
+        yield tag, count
+
+
+def _scan_queue(queue: list[tuple[list, tuple[Mask, ...]]]) -> None:
+    """Scan the blocks of a count_many queue in one batch, multiply each
+    count into its entry and empty the queue."""
+    if queue:
+        for (entry, _), total in zip(queue, _lane_sums([rows for _, rows in queue])):
+            entry[1] *= total
+            entry[2] -= 1
+        queue.clear()
 
 
 def _count_join(adj: tuple[Mask, ...], co: tuple[Mask, ...], s: Mask) -> int | None:
@@ -893,7 +1001,7 @@ def _component_power_sum(adj: tuple[Mask, ...], cover: Mask) -> int:
         for u in iter_bits(closed & (1 << width) - 1):
             near |= lanes[u]
         needs.append((near, closed >> width))
-    total = 0
+    total = [0]
     for c in range(1 << (n - width)):
         live = ones
         for near, high in needs:
@@ -911,5 +1019,5 @@ def _component_power_sum(adj: tuple[Mask, ...], cover: Mask) -> int:
                 _add(counter, seed)
                 covered[v] |= seed
                 _flood(covered, links, [v])
-        total += _power_sum(live, counter)
-    return total
+        _power_sums(total, live, counter, 1 << width)
+    return total[0]

@@ -23,12 +23,16 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import chain
 from multiprocessing import Pool
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .canon import generate_all, generate_connected
 from .facets import (
+    Plan,
     count_facets,
+    count_many,
+    count_plan,
     count_suspension_via_domination,
     enumerate_facet_subgraphs,
     # Not called here: HOOKS in perfbench/tracing.py wraps
@@ -107,25 +111,40 @@ def cached_count_facets(g: Graph) -> int:
     return count_facets(g)
 
 
-def _conjecture_task(args: tuple[str, BoundPair]) -> tuple[SweepRow, str | None]:
-    """The row of one graph6 line, stripped of whitespace and header, and
-    why the graph was refused (None if it was counted). Any exception is
-    one graph's refusal, so it cannot abort the sweep: a ValueError (bad
-    input) gives its message, any other error its type and message."""
-    line, bounds = args
+def _line_plan(task: tuple[str, BoundPair]) -> tuple[tuple, Plan | None]:
+    """The row head of one graph6 line, stripped of whitespace and header,
+    and the count_plan of its graph, or None if it was refused. The head
+    is (graph6, bounds, class, reason), with class input_error and the
+    reason for a refusal. Any exception is one graph's refusal, so it
+    cannot abort the sweep: a ValueError (bad input) gives its message,
+    any other error its type and message."""
+    line, bounds = task
     g6 = line.strip().removeprefix(GRAPH6_HEADER)
     try:
         g = parse_graph6(g6)
         if g.n != bounds.n:
             reason = f"expected {bounds.n} vertices, got {g.n}"
         else:
-            return SweepRow(g6, bounds.n, count_facets(g), bounds.lower, bounds.upper,
-                            classify_extremal(g)), None
+            plan = count_plan(g)
+            return (g6, bounds, classify_extremal(g), None), plan
     except ValueError as exc:
         reason = str(exc)
     except Exception as exc:
         reason = f"{type(exc).__name__}: {exc}"
-    return SweepRow(g6, bounds.n, None, bounds.lower, bounds.upper, "input_error"), reason
+    return (g6, bounds, "input_error", reason), None
+
+
+def _conjecture_rows(tasks: Iterable[tuple[str, BoundPair]]) -> Iterator[tuple[SweepRow, str | None]]:
+    """The row of each task's line and why its graph was refused (None if
+    it was counted), in order, counted by count_many, so the scans of many
+    lines share lane scans."""
+    for (g6, bounds, cls, reason), count in count_many(map(_line_plan, tasks)):
+        yield SweepRow(g6, bounds.n, count, bounds.lower, bounds.upper, cls), reason
+
+
+def _conjecture_slice(tasks: list[tuple[str, BoundPair]]) -> list[tuple[SweepRow, str | None]]:
+    """_conjecture_rows of one pool worker's slice of the tasks."""
+    return list(_conjecture_rows(tasks))
 
 
 def sweep_conjecture(
@@ -134,8 +153,11 @@ def sweep_conjecture(
     jobs: int = 1,
 ) -> ConjectureSweep:
     """Check the conjectured bounds for each input graph (default: all
-    connected classes on n vertices). Rows keep the input order; the
-    extremal hits are the rows whose count equals a bound."""
+    connected classes on n vertices). The lines are counted through
+    count_many: serially all in one stream, and with jobs > 1 in slices of
+    about a quarter of a worker's share, one stream per slice. Each line
+    keeps its own row and refusal. Rows keep the input order; the extremal
+    hits are the rows whose count equals a bound."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.monotonic()
@@ -145,11 +167,13 @@ def sweep_conjecture(
     tasks = [(g if isinstance(g, str) else emit_graph6(g), bounds) for g in graphs]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        size = max(1, len(tasks) // (workers * 4))
         with Pool(workers) as pool:
-            results = pool.map(_conjecture_task, tasks,
-                               chunksize=max(1, len(tasks) // (workers * 4)))
+            slices = pool.map(_conjecture_slice,
+                              [tasks[k:k + size] for k in range(0, len(tasks), size)], chunksize=1)
+        results = chain.from_iterable(slices)
     else:
-        results = map(_conjecture_task, tasks)
+        results = _conjecture_rows(tasks)
 
     report = VerificationReport(n, 0, [], [], 0)
     sweep = ConjectureSweep(report, [], [])

@@ -10,6 +10,7 @@ from sepfacets.canon import generate_all, generate_connected
 from sepfacets.facets import (
     count_bipartite_strict,
     count_facets,
+    count_plan,
     count_suspension_via_domination,
     enumerate_facet_subgraphs,
     enumerate_facets_oracle,
@@ -476,7 +477,7 @@ def test_large_quotients_match_mu_of(monkeypatch):
                 quotients.append(len(comps))
         assert labelled_by_cuts == sorted(quotients)
         labelled.clear()
-        assert facets._lane_sum(g.adj) == sum(mu for _, mu in cuts)
+        assert facets._lane_sums([g.adj]) == [sum(mu for _, mu in cuts)]
         assert sorted(labelled) == sorted(quotients)
     assert all(max(sizes) >= 7 for sizes in by_side.values())
 
@@ -502,7 +503,7 @@ def test_lane_sum_matches_cuts_on_every_small_block(monkeypatch):
     seen = small_blocks(monkeypatch)
     assert max(len(rows) for rows in seen) == 8
     for rows in seen:
-        assert facets._lane_sum(rows) == cut_sum(rows)
+        assert facets._lane_sums([rows]) == [cut_sum(rows)]
 
 
 def seeded_prime_blocks(sizes, seed):
@@ -526,7 +527,7 @@ def test_lane_sum_matches_cuts_across_chunks():
     # From 14 vertices a block spans 2^(n-13) chunks of 4096 lanes, whose
     # vertices past the 12th are all ones or all zeros in each chunk.
     for g in seeded_prime_blocks(range(9, 17), 11):
-        assert facets._lane_sum(g.adj) == cut_sum(g.adj) == count_facets(g)
+        assert facets._lane_sums([g.adj]) == [cut_sum(g.adj)] == [count_facets(g)]
 
 
 def ladder(m):
@@ -558,8 +559,91 @@ def test_two_component_lanes_sum_either_way(monkeypatch):
     for threshold in 0, 1 << 13:
         monkeypatch.setattr(facets, "TWO_LANES_MIN", threshold)
         decoded.clear()
-        assert [facets._lane_sum(rows) for rows in cases] == expected
+        assert [facets._lane_sums([rows])[0] for rows in cases] == expected
         assert min(decoded) == (3 if threshold == 0 else 2)
+
+
+def in_batches(blocks_by_size):
+    """_lane_sums over each size's blocks, in batches of one chunk,
+    2^(LANE_BITS - n + 1) blocks of n vertices, the last one partial."""
+    sums = {}
+    for n, group in blocks_by_size.items():
+        cap = max(1, (1 << facets.LANE_BITS) >> (n - 1))
+        sums[n] = [total for k in range(0, len(group), cap)
+                   for total in facets._lane_sums(group[k:k + cap])]
+    return sums
+
+
+def test_lane_sums_match_cuts_in_batches(monkeypatch):
+    # every non-join block of the connected classes on 2..8 vertices, each
+    # size scanned in full chunks of 2^(13 - n) blocks and one partial chunk
+    by_size = {}
+    for rows in sorted(small_blocks(monkeypatch)):
+        if len(components(complement_rows(rows))) == 1:
+            by_size.setdefault(len(rows), []).append(rows)
+    assert sorted(by_size) == [5, 6, 7, 8]
+    assert len(by_size[8]) > 32 and len(by_size[8]) % 32
+    assert in_batches(by_size) == {n: [cut_sum(rows) for rows in group]
+                                   for n, group in by_size.items()}
+
+
+def test_lane_sums_match_cuts_in_batches_across_sizes():
+    # seeded prime blocks of 9..13 vertices, 2^(13 - n) to a batch, so each
+    # batch fills one chunk of 4096 lanes
+    by_size = {n: [g.adj for g in seeded_prime_blocks([n] * (1 << max(0, 12 - n)), n)]
+               for n in range(9, 14)}
+    assert [len(group) for group in by_size.values()] == [16, 8, 4, 2, 2]
+    assert in_batches(by_size) == {n: [cut_sum(rows) for rows in group]
+                                   for n, group in by_size.items()}
+
+
+def test_lane_sums_limit_each_edge_to_its_blocks():
+    # each chord lies in one block of the batch, so its masks must stay in
+    # that block's slot; the complement of C8 beside a C8, whose cuts give
+    # no stars, shows a star sum added to the wrong slot
+    c8 = [(i, (i + 1) % 8) for i in range(8)]
+    batch = [from_edges(8, c8).adj] * 32
+    batch[17] = from_edges(8, c8 + [(0, 4)]).adj
+    batch[18] = from_edges(8, c8 + [(1, 3), (5, 7)]).adj
+    batch[19] = complement_rows(batch[0])
+    batch[31] = from_edges(8, c8 + [(2, 5)]).adj
+    expected = [cut_sum(rows) for rows in batch]
+    assert len(set(expected)) == 5
+    assert facets._lane_sums(batch) == expected
+    assert facets._lane_sums(batch[16:21]) == expected[16:21]
+
+
+def test_count_many_streams_its_input():
+    # a queue of 8-vertex blocks is scanned once it fills a chunk of 32,
+    # so the first count comes before the 33rd graph is pulled
+    rng = random.Random(3)
+    pairs = [(i, j) for j in range(8) for i in range(j)]
+    pulled = []
+
+    def primes():
+        while len(pulled) < 80:
+            g = from_edges(8, rng.sample(pairs, rng.randint(10, 20)))
+            if (blocks(g.adj) == [full_mask(8)]
+                    and len(components(complement_rows(g.adj))) == 1):
+                pulled.append(g)
+                yield g, count_plan(g)
+
+    stream = facets.count_many(primes())
+    g, count = next(stream)
+    assert len(pulled) <= 32
+    assert count == cut_sum(g.adj)
+    rest = list(stream)
+    assert len(pulled) == 80 and [h for h, _ in rest] == pulled[1:]
+    assert [c for _, c in rest] == [cut_sum(h.adj) for h in pulled[1:]]
+
+
+def test_count_many_equals_count_facets_on_small_classes():
+    classes = [g for n in range(2, 8) for g in generate_connected(n)]
+    items = [(g, count_plan(g)) for g in classes]
+    items[5] = (None, None)
+    expected = [(g, count_facets(g)) for g in classes]
+    expected[5] = (None, None)
+    assert list(facets.count_many(items)) == expected
 
 
 def quotient_count(g):
@@ -593,18 +677,21 @@ def test_quotient_count_matches_strict_count(monkeypatch):
 
 
 def test_count_facets_scans_a_block_by_its_size(monkeypatch):
-    # blocks of LANE_MIN_VERTICES or more go to the lane scan, smaller ones
-    # to _cuts; the total is the block product either way
+    # blocks of LANE_MIN_VERTICES or more go to the lane scan, a batch of
+    # one for a single graph, smaller ones to _cuts; the total is the block
+    # product either way
     routes = []
-    for name in "_lane_sum", "_cuts":
-        monkeypatch.setattr(facets, name, lambda rows, name=name, f=getattr(facets, name):
-                            routes.append((name, len(rows))) or f(rows))
+    cuts, lane_sums = facets._cuts, facets._lane_sums
+    monkeypatch.setattr(facets, "_cuts", lambda rows: routes.append(("_cuts", len(rows)))
+                        or cuts(rows))
+    monkeypatch.setattr(facets, "_lane_sums", lambda batch: routes.append(
+        ("_lane_sums", [len(rows) for rows in batch])) or lane_sums(batch))
     c7, c8 = cycle_graph(7), cycle_graph(8)
     g = one_sum(one_sum(c7, 0, c8, 0), 3, complete_graph(3), 0)
     assert count_facets(g) == count_facets(c7) * count_facets(c8) * 6
     routes.clear()
     count_facets(g)
-    assert sorted(routes) == [("_cuts", 7), ("_lane_sum", 8)]
+    assert sorted(routes) == [("_cuts", 7), ("_lane_sums", [8])]
 
 
 def test_count_facets_builds_no_graph(monkeypatch):
@@ -656,7 +743,7 @@ def test_scan_refuses_large_blocks(monkeypatch):
     with pytest.raises(GraphError, match="40-vertex block"):
         count_facets(cycle_graph(40))
     with pytest.raises(GraphError, match="33-vertex block"):
-        facets._lane_sum(cycle_graph(33).adj)
+        facets._lane_sums([cycle_graph(33).adj])
     with pytest.raises(GraphError, match="33-vertex block"):
         count_suspension_via_domination(cycle_graph(33))
     with pytest.raises(GraphError, match="33-vertex block"):

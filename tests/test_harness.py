@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import random
 from collections import Counter
 
 import pytest
@@ -8,13 +9,18 @@ import pytest
 from sepfacets import canon, facets, formulas, harness
 from sepfacets.canon import canonical_form, generate_connected
 from sepfacets.cli import main
-from sepfacets.facets import count_facets
+from sepfacets.facets import count_facets, count_plan
 from sepfacets.formats import emit_graph6, parse_graph6
 from sepfacets.graphs import (
     GraphError,
+    blocks,
+    complement_rows,
     complete_bipartite,
     complete_graph,
+    components,
     from_edges,
+    full_mask,
+    is_connected,
     one_sum,
     path_graph,
 )
@@ -171,9 +177,52 @@ def test_sweep_floods_each_graph_once(monkeypatch):
     assert sweep.input_errors == [(emit_graph6(disconnected), "disconnected")]
 
 
+def n8_lines():
+    """Seeded connected 8-vertex graphs as graph6, shuffled together: 20
+    joins (the complement is disconnected), 20 separable graphs (a cut
+    vertex, not a join) and 40 prime graphs (2-connected, complement
+    connected), more than the 32 blocks of one lane scan."""
+    rng = random.Random(8)
+    pairs = [(i, j) for j in range(8) for i in range(j)]
+    wanted = {"join": 20, "separable": 20, "prime": 40}
+    kinds = {kind: [] for kind in wanted}
+    while any(len(kinds[kind]) < count for kind, count in wanted.items()):
+        g = from_edges(8, rng.sample(pairs, rng.randint(7, 22)))
+        if not is_connected(g):
+            continue
+        if len(components(complement_rows(g.adj))) > 1:
+            kind = "join"
+        else:
+            kind = "prime" if blocks(g.adj) == [full_mask(8)] else "separable"
+        if len(kinds[kind]) < wanted[kind]:
+            kinds[kind].append(emit_graph6(g))
+    lines = [line for found in kinds.values() for line in found]
+    rng.shuffle(lines)
+    return lines
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_lines_change_no_other_row(jobs):
+    # the 8-vertex blocks of many lines share lane scans, so a line that is
+    # refused must leave every other line's count, row and refusal as they
+    # are when that line is swept alone
+    lines = n8_lines()
+    bad = [emit_graph6(from_edges(8, [(0, 1), (2, 3)])),  # disconnected
+           emit_graph6(complete_graph(5)),                 # 5 vertices
+           "G~~"]                                          # malformed
+    lines[30:30] = bad
+    sweep = sweep_conjecture(8, lines, jobs=jobs)
+    alone = [sweep_conjecture(8, [line]) for line in lines]
+    assert sweep.rows == [one.rows[0] for one in alone]
+    assert sweep.input_errors == [error for one in alone for error in one.input_errors]
+    assert [line for line, _ in sweep.input_errors] == bad
+    assert sweep.report.graphs_checked == len(lines) - 3
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unexpected_error_is_one_graphs_input_error(monkeypatch, capsys, tmp_path, jobs):
-    # pool workers see the patched count_facets only when they are forked
+    # pool workers see the patched count_plan, the per-graph step of the
+    # sweep's count, only when they are forked
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers are not forked on this platform")
     lines = [emit_graph6(g) for g in generate_connected(5)]
@@ -183,9 +232,9 @@ def test_unexpected_error_is_one_graphs_input_error(monkeypatch, capsys, tmp_pat
     def planted(g):
         if emit_graph6(g) == bad:
             raise RuntimeError("planted fault")
-        return count_facets(g)
+        return count_plan(g)
 
-    monkeypatch.setattr(harness, "count_facets", planted)
+    monkeypatch.setattr(harness, "count_plan", planted)
     sweep = sweep_conjecture(5, lines, jobs=jobs)
     assert sweep.input_errors == [(bad, "RuntimeError: planted fault")]
     assert sweep.rows[3] == SweepRow(bad, 5, None, 10, 36, "input_error")
