@@ -20,7 +20,7 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   from the same single walk.
 
 * count_facets runs on adjacency rows and builds no Graph. Its per-graph
-  part, count_plan, makes one flat pass over vertex sets of the input's
+  part, _decompose, makes one flat pass over vertex sets of the input's
   rows, with one complement, and leaves only the lane scans. A join
   G1 + G2 (the complement is disconnected), whatever its side sizes, goes
   whole to _count_join, which derives from each side's vertex count n_i,
@@ -39,11 +39,14 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   lane of big-int masks, and sums its stars, and in a chunk with enough
   of them its cuts with |S| = 2, without listing them; a smaller block by
   _cuts, one cut at a time, with neighbourhoods of vertex sets from two
-  tables of 2^(n/2) entries (_union_tables). The lanes of one chunk hold
-  the cuts of up to 2^(13-n) blocks of the same size n: count_many
-  queues the blocks of many graphs by size and scans a queue once it
-  fills a chunk (32 blocks of 8 vertices, 16 of 9), and count_facets is
-  its one-graph case, a batch of one per block.
+  tables of 2^(n/2) entries (_union_tables); count_facets scans each
+  block it leaves as a batch of one. The lanes of one chunk hold the cuts
+  of up to 2^(13-n) graphs or blocks of the same size n: count_many
+  queues the scans of many graphs by size and scans a queue once it
+  fills a chunk (32 of 8 vertices, 16 of 9). Its per-graph part,
+  count_plan, leaves a connected graph of at most WHOLE_SCAN_MAX_VERTICES
+  (9) vertices whole to the scan, which in a shared chunk costs less than
+  the decomposition, and decomposes a larger one as count_facets does.
   enumerate_facet_subgraphs returns the terms of _cuts as (part2, mu)
   pairs, so their sum is the cut count with no join split, from a scan
   that shares no scan code with _lane_sums: only the union tables, the
@@ -399,11 +402,13 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
     the two sides, with no quotient rows. Every step takes neighbourhoods
     from _union_tables.
 
-    count_facets sums these terms for blocks of fewer than
+    _decompose sums these terms for blocks of fewer than
     LANE_MIN_VERTICES vertices, where one cut at a time is cheaper than
-    _lane_sum's fixed cost per block; enumerate_facet_subgraphs lists them
-    for any graph, which makes this scan the reference that the lane scan
-    is checked against.
+    a lane scan's fixed cost per batch: the blocks of a single count in
+    count_facets, and of a graph of more than WHOLE_SCAN_MAX_VERTICES
+    vertices in count_many. enumerate_facet_subgraphs lists them for any
+    graph, which makes this scan the reference that the lane scan is
+    checked against.
     """
     n = len(adj)
     lo, hi, h = _union_tables(adj)
@@ -442,7 +447,7 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
 # vertex set S = c 2^L + i with L = min(n, LANE_BITS).
 LANE_BITS = 12
 
-# Smallest block that count_facets counts with _lane_sums rather than _cuts.
+# Smallest block that _decompose leaves to _lane_sums rather than _cuts.
 # The lane scan pays a fixed cost per batch (its patterns, edge masks and a
 # flood per vertex), which a block of 7 or fewer vertices, 64 or fewer cuts,
 # does not earn back alone: on seeded 2-connected blocks, one to a batch, it
@@ -758,10 +763,11 @@ def mu_of(g: Graph, part2: Mask) -> int:
 
 
 def count_facets(g: Graph) -> int:
-    """Facet count of g, the one-graph case of count_many: each block that
-    count_plan leaves to scan is a batch of one to _lane_sums. Refuses what
-    count_plan refuses."""
-    count, scans = count_plan(g)
+    """Facet count of one graph from its decomposition, _decompose: the
+    join formula, the block product, _cuts on blocks below
+    LANE_MIN_VERTICES and a batch of one to _lane_sums for each block
+    left to scan. Refuses what count_plan refuses."""
+    count, scans = _decompose(g)
     for rows in scans:
         count *= _lane_sums([rows])[0]
     return count
@@ -772,19 +778,40 @@ def count_facets(g: Graph) -> int:
 Plan = tuple[int, list[tuple[Mask, ...]]]
 Tag = TypeVar("Tag")
 
+# Most vertices of a graph that count_plan leaves whole to the lane scan. In
+# count_many's shared chunks, on seeded connected graphs of edge density
+# 0.25 to 0.95, the whole scan takes 0.15 to 0.37 times as long as the
+# decomposition from 4 to 7 vertices, 0.63 at 8 and 0.87 at 9, then 1.21 at
+# 10 and 1.19 to 1.32 from 11 to 13. One graph at a time the decomposition
+# wins on joins, which take 1.1 to 5.5 times as long whole from 4 to 9
+# vertices, so count_facets keeps it.
+WHOLE_SCAN_MAX_VERTICES = 9
+
 
 def count_plan(g: Graph) -> Plan:
-    """The per-graph part of a facet count: one flat pass over vertex sets
-    of g's rows that does everything but the lane scans, and makes every
-    refusal. A join G1 + G2 (the complement is disconnected) of any side
-    sizes is counted whole by _count_join. Any other graph is the product
-    over its blocks (the count is multiplicative under 1-sums): a block
-    that is a join is counted by _count_join, one of fewer than
-    LANE_MIN_VERTICES vertices by its cut multiplicities over _cuts, one
-    cut at a time, as its 64 or fewer cuts do not pay back a lane scan's
-    fixed cost; any other block is left in scans, relabelled, for
-    _lane_sums, and refused here if it is over MAX_SCAN_VERTICES. The
-    complement rows are built once.
+    """The per-graph part of a facet count in count_many, which makes
+    every refusal. A connected graph of at most WHOLE_SCAN_MAX_VERTICES
+    vertices is left whole in scans, as its cuts cost less in a shared
+    lane chunk than its decomposition does; any larger one gets
+    _decompose, count_facets' pass.
+    """
+    if g.n <= WHOLE_SCAN_MAX_VERTICES:
+        _require_connected(g)
+        return 1, [g.adj]
+    return _decompose(g)
+
+
+def _decompose(g: Graph) -> Plan:
+    """One flat pass over vertex sets of g's rows that does everything but
+    the lane scans, and makes every refusal. A join G1 + G2 (the
+    complement is disconnected) of any side sizes is counted whole by
+    _count_join. Any other graph is the product over its blocks (the count
+    is multiplicative under 1-sums): a block that is a join is counted by
+    _count_join, one of fewer than LANE_MIN_VERTICES vertices by its cut
+    multiplicities over _cuts, one cut at a time, as its 64 or fewer cuts
+    do not pay back a lane scan's fixed cost alone; any other block is
+    left in scans, relabelled, for _lane_sums, and refused here if it is
+    over MAX_SCAN_VERTICES. The complement rows are built once.
     """
     _require_connected(g)
     adj = g.adj
@@ -810,7 +837,9 @@ def count_many(items: Iterable[tuple[Tag, Plan | None]]) -> Iterator[tuple[Tag, 
     """(tag, count) for each (tag, plan) of items, in input order: plan is
     count_plan(g) of a graph g, or None, whose count is None.
 
-    The scans of many graphs share lane scans. Each block left to scan
+    The scans of many graphs share lane scans: a graph of at most
+    WHOLE_SCAN_MAX_VERTICES vertices is scanned whole, and a larger one's
+    blocks of LANE_MIN_VERTICES or more vertices. Each block left to scan
     waits in the queue of its vertex count n, and a queue is scanned by
     one _lane_sums call when it fills a chunk, 2^(LANE_BITS - n + 1)
     blocks below LANE_BITS + 1 vertices and one from there, or when the

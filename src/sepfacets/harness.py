@@ -155,9 +155,12 @@ def sweep_conjecture(
     """Check the conjectured bounds for each input graph (default: all
     connected classes on n vertices). The lines are counted through
     count_many: serially all in one stream, and with jobs > 1 in slices of
-    about a quarter of a worker's share, one stream per slice. Each line
-    keeps its own row and refusal. Rows keep the input order; the extremal
-    hits are the rows whose count equals a bound."""
+    about a quarter of a worker's share, one stream per slice. A graph of
+    at most WHOLE_SCAN_MAX_VERTICES (9) vertices is scanned whole in the
+    stream's shared lane chunks, with no join formula or block product,
+    and a larger one is decomposed first. Each line keeps its own row and
+    refusal. Rows keep the input order; the extremal hits are the rows
+    whose count equals a bound."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.monotonic()

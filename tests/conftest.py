@@ -21,10 +21,14 @@ from sepfacets import graphs
 from sepfacets.graphs import (
     Graph,
     bipartition,
+    blocks,
+    complement_rows,
     complete_graph,
+    components,
     delete_edge,
     edges,
     from_edges,
+    full_mask,
     has_edge,
     is_connected,
     iter_bits,
@@ -393,6 +397,26 @@ def seeded_cacti():
             g = Graph(g.n + 1, g.adj + (0,))
         out.append(g)
     return out
+
+
+def seeded_by_kind(rng, n, wanted, most_edges):
+    """Seeded connected n-vertex graphs of n - 1 to most_edges edges drawn
+    from rng, wanted[kind] of each kind: joins (the complement is
+    disconnected), separable graphs (a cut vertex, not a join) and prime
+    graphs (2-connected, complement connected)."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    kinds = {kind: [] for kind in wanted}
+    while any(len(kinds[kind]) < count for kind, count in wanted.items()):
+        g = from_edges(n, rng.sample(pairs, rng.randint(n - 1, most_edges)))
+        if not is_connected(g):
+            continue
+        if len(components(complement_rows(g.adj))) > 1:
+            kind = "join"
+        else:
+            kind = "prime" if blocks(g.adj) == [full_mask(n)] else "separable"
+        if len(kinds[kind]) < wanted[kind]:
+            kinds[kind].append(g)
+    return kinds
 
 
 def labeled_graphs(n):

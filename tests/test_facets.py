@@ -42,7 +42,7 @@ from sepfacets.graphs import (
     star_graph,
     suspension,
 )
-from sepfacets.harness import sweep_conjecture
+from sepfacets.harness import SweepRow, sweep_conjecture
 
 from conftest import (
     empty_graph,
@@ -54,6 +54,7 @@ from conftest import (
     ref_facet_count,
     ref_facet_vectors,
     ref_labelings,
+    seeded_by_kind,
 )
 
 EXAMPLE = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)])
@@ -637,13 +638,31 @@ def test_count_many_streams_its_input():
     assert [c for _, c in rest] == [cut_sum(h.adj) for h in pulled[1:]]
 
 
-def test_count_many_equals_count_facets_on_small_classes():
-    classes = [g for n in range(2, 8) for g in generate_connected(n)]
-    items = [(g, count_plan(g)) for g in classes]
-    items[5] = (None, None)
-    expected = [(g, count_facets(g)) for g in classes]
-    expected[5] = (None, None)
+def test_count_many_equals_count_facets_on_small_classes(monkeypatch):
+    # one stream: every class on 2..7 vertices, then 12 seeded 8-, 9- and
+    # 10-vertex graphs of each kind with the sizes interleaved and a None
+    # item among them. The graphs of 9 or fewer vertices are scanned
+    # whole and the others decomposed; every count equals count_facets and
+    # the cut sum, and the 8- and 9-vertex scans end in a partial chunk.
+    wanted = dict.fromkeys(("join", "separable", "prime"), 12)
+    by_size = {n: seeded_by_kind(random.Random(n), n, wanted, n * (n - 1) // 2 - 2)
+               for n in (8, 9, 10)}
+    graphs = [g for n in range(2, 8) for g in generate_connected(n)]
+    graphs += [found[i] for i in range(12) for kinds in by_size.values()
+               for found in kinds.values()]
+    items = [(g, count_plan(g)) for g in graphs]
+    items.insert(len(items) - 50, (None, None))
+    expected = [(g, count_facets(g)) for g in graphs]
+    expected.insert(len(expected) - 50, (None, None))
+    assert [count for g, count in expected if g is not None] == [cut_sum(g.adj) for g in graphs]
+    batches = []
+    lane_sums = facets._lane_sums
+    monkeypatch.setattr(facets, "_lane_sums", lambda batch: batches.append(
+        (len(batch[0]), len(batch))) or lane_sums(batch))
     assert list(facets.count_many(items)) == expected
+    for n, cap in (8, 32), (9, 16):
+        sizes = {size for m, size in batches if m == n}
+        assert cap in sizes and min(sizes) < cap
 
 
 def quotient_count(g):
@@ -692,6 +711,41 @@ def test_count_facets_scans_a_block_by_its_size(monkeypatch):
     routes.clear()
     count_facets(g)
     assert sorted(routes) == [("_cuts", 7), ("_lane_sums", [8])]
+
+
+def test_count_plan_scans_a_graph_of_up_to_9_vertices_whole(monkeypatch):
+    # in a batch a graph of WHOLE_SCAN_MAX_VERTICES or fewer vertices is one
+    # whole-graph scan and a larger one is decomposed, so a 10-vertex join
+    # is counted by the join formula; count_facets decomposes either size
+    joins = []
+    count_join = facets._count_join
+    monkeypatch.setattr(facets, "_count_join", lambda adj, co, s: joins.append(s.bit_count())
+                        or count_join(adj, co, s))
+    nine, ten = join(cycle_graph(5), cycle_graph(4)), join(cycle_graph(5), cycle_graph(5))
+    assert count_plan(nine) == (1, [nine.adj])
+    assert joins == []
+    assert count_plan(ten) == (cut_sum(ten.adj), [])
+    assert joins == [10]
+    joins.clear()
+    assert count_facets(nine) == cut_sum(nine.adj)
+    assert joins == [9]
+
+
+def test_count_plan_refuses_as_count_facets_does():
+    # a graph left whole to the scan is refused with the decomposition's
+    # text, and a sweep line keeps its input_error row at any jobs
+    for g in Graph(1, (0,)), from_edges(3, [(0, 1)]):
+        with pytest.raises(GraphError) as single:
+            count_facets(g)
+        with pytest.raises(GraphError) as batch:
+            count_plan(g)
+        assert str(batch.value) == str(single.value)
+    for jobs in 1, 2:
+        sweep = sweep_conjecture(3, ["B_", "Bw", "@"], jobs=jobs)
+        assert sweep.rows == [SweepRow("B_", 3, None, 4, 6, "input_error"),
+                              SweepRow("Bw", 3, 6, 4, 6, "one_sum_of_triangles"),
+                              SweepRow("@", 3, None, 4, 6, "input_error")]
+        assert sweep.input_errors == [("B_", "disconnected"), ("@", "expected 3 vertices, got 1")]
 
 
 def test_count_facets_builds_no_graph(monkeypatch):
@@ -888,10 +942,22 @@ def test_leaf_caches_match_uncached_counts(monkeypatch):
     assert max(s + len(touches) for s, touches in keys["_side_labelings"]) >= 7
 
 
+def leaf_cache_use():
+    """(calls, misses) of each leaf cache."""
+    return [(i.hits + i.misses, i.misses)
+            for i in (getattr(facets, name).cache_info() for name in LEAF_CACHES)]
+
+
 def test_leaf_cache_reuse_in_the_n7_sweep():
     # calls and misses of each cache over the 853 classes on 7 vertices,
-    # from cold caches
+    # from cold caches: count_facets decomposes each class, so its joins
+    # reach the domination scan; the sweep scans each class whole, and
+    # only the quotients of its decoded lanes reach a cache
+    classes = list(generate_connected(7))
+    clear_leaf_caches()
+    for g in classes:
+        count_facets(g)
+    assert leaf_cache_use() == [(63, 14), (3094, 78)]
     clear_leaf_caches()
     sweep_conjecture(7)
-    info = [getattr(facets, name).cache_info() for name in LEAF_CACHES]
-    assert [(i.hits + i.misses, i.misses) for i in info] == [(63, 14), (3094, 78)]
+    assert leaf_cache_use() == [(187, 54), (0, 0)]

@@ -13,14 +13,9 @@ from sepfacets.facets import count_facets, count_plan
 from sepfacets.formats import emit_graph6, parse_graph6
 from sepfacets.graphs import (
     GraphError,
-    blocks,
-    complement_rows,
     complete_bipartite,
     complete_graph,
-    components,
     from_edges,
-    full_mask,
-    is_connected,
     one_sum,
     path_graph,
 )
@@ -34,7 +29,7 @@ from sepfacets.harness import (
     write_rows_csv,
 )
 
-from conftest import record_constructions
+from conftest import record_constructions, seeded_by_kind
 
 
 def certs(graph6_strings):
@@ -181,29 +176,17 @@ def n8_lines():
     """Seeded connected 8-vertex graphs as graph6, shuffled together: 20
     joins (the complement is disconnected), 20 separable graphs (a cut
     vertex, not a join) and 40 prime graphs (2-connected, complement
-    connected), more than the 32 blocks of one lane scan."""
+    connected), more than the 32 graphs of one lane scan."""
     rng = random.Random(8)
-    pairs = [(i, j) for j in range(8) for i in range(j)]
-    wanted = {"join": 20, "separable": 20, "prime": 40}
-    kinds = {kind: [] for kind in wanted}
-    while any(len(kinds[kind]) < count for kind, count in wanted.items()):
-        g = from_edges(8, rng.sample(pairs, rng.randint(7, 22)))
-        if not is_connected(g):
-            continue
-        if len(components(complement_rows(g.adj))) > 1:
-            kind = "join"
-        else:
-            kind = "prime" if blocks(g.adj) == [full_mask(8)] else "separable"
-        if len(kinds[kind]) < wanted[kind]:
-            kinds[kind].append(emit_graph6(g))
-    lines = [line for found in kinds.values() for line in found]
+    kinds = seeded_by_kind(rng, 8, {"join": 20, "separable": 20, "prime": 40}, 22)
+    lines = [emit_graph6(g) for found in kinds.values() for g in found]
     rng.shuffle(lines)
     return lines
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_bad_lines_change_no_other_row(jobs):
-    # the 8-vertex blocks of many lines share lane scans, so a line that is
+    # the 8-vertex graphs of many lines share lane scans, so a line that is
     # refused must leave every other line's count, row and refusal as they
     # are when that line is swept alone
     lines = n8_lines()
