@@ -34,25 +34,27 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   edges, counted by _quotient_mu from the components of the cut's two
   sides: with S the side of fewer components, 2^(q-1) for the star that
   most cuts give (|S| = 1), a closed form for |S| = 2, and otherwise a
-  labeling of S alone. A block of LANE_MIN_VERTICES (8) or more
-  vertices is scanned by _lane_sums, 2^12 cuts at a time, one cut per bit
-  lane of big-int masks, and sums its stars, and in a chunk with enough
-  of them its cuts with |S| = 2, without listing them; a smaller block by
-  _cuts, one cut at a time, with neighbourhoods of vertex sets from two
-  tables of 2^(n/2) entries (_union_tables); count_facets scans each
+  labeling of S alone. Every block left to scan, of 5 or more vertices
+  as no smaller block is a non-join, is scanned by _lane_sums, 2^12 cuts
+  at a time, one cut per bit lane of big-int masks, which sums its stars
+  and its cuts with |S| = 2 without listing them; count_facets scans each
   block it leaves as a batch of one. The lanes of one chunk hold the cuts
   of up to 2^(13-n) graphs or blocks of the same size n: count_many
   queues the scans of many graphs by size and scans a queue once it
-  fills a chunk (32 of 8 vertices, 16 of 9). Its per-graph part,
-  count_plan, leaves a connected graph of at most WHOLE_SCAN_MAX_VERTICES
-  (9) vertices whole to the scan, which in a shared chunk costs less than
-  the decomposition, and decomposes a larger one as count_facets does.
-  enumerate_facet_subgraphs returns the terms of _cuts as (part2, mu)
+  fills a chunk (256 of 5 vertices, 32 of 8, 16 of 9). Its per-graph
+  part, count_plan, leaves a connected graph of at most
+  WHOLE_SCAN_MAX_VERTICES (9) vertices whole to the scan, which in a
+  shared chunk costs less than the decomposition, and decomposes a
+  larger one as count_facets does. No count goes through _cuts, which
+  scans one cut at a time with neighbourhoods of vertex sets from two
+  tables of 2^(n/2) entries (_union_tables): it is the reference behind
+  enumerate_facet_subgraphs, which returns its terms as (part2, mu)
   pairs, so their sum is the cut count with no join split, from a scan
   that shares no scan code with _lane_sums: only the union tables, the
-  components and _quotient_mu. mu_of(g, part2) recounts one cut through
-  contract_edges and count_bipartite_strict, which labels with the
-  oracle's enumerator.
+  components and _quotient_mu. The identity sweep checks count_facets
+  against that sum on every graph it visits. mu_of(g, part2)
+  recounts one cut through contract_edges and count_bipartite_strict,
+  which labels with the oracle's enumerator.
 
 * count_suspension_via_domination counts facets of the suspension of a base
   graph from the dominating sets S of the base, each giving 2^(number of
@@ -402,13 +404,10 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
     the two sides, with no quotient rows. Every step takes neighbourhoods
     from _union_tables.
 
-    _decompose sums these terms for blocks of fewer than
-    LANE_MIN_VERTICES vertices, where one cut at a time is cheaper than
-    a lane scan's fixed cost per batch: the blocks of a single count in
-    count_facets, and of a graph of more than WHOLE_SCAN_MAX_VERTICES
-    vertices in count_many. enumerate_facet_subgraphs lists them for any
-    graph, which makes this scan the reference that the lane scan is
-    checked against.
+    No count sums these terms: _lane_sums counts every block that is
+    scanned. enumerate_facet_subgraphs lists them for any graph, which
+    makes this scan the reference that the lane scan is checked against,
+    by the identity sweep and the tests, at every block size.
     """
     n = len(adj)
     lo, hi, h = _union_tables(adj)
@@ -446,22 +445,6 @@ def _cuts(adj: tuple[Mask, ...]) -> Iterator[tuple[Mask, int]]:
 # of one block of LANE_BITS + 1 or more. _component_power_sum takes the
 # vertex set S = c 2^L + i with L = min(n, LANE_BITS).
 LANE_BITS = 12
-
-# Smallest block that _decompose leaves to _lane_sums rather than _cuts.
-# The lane scan pays a fixed cost per batch (its patterns, edge masks and a
-# flood per vertex), which a block of 7 or fewer vertices, 64 or fewer cuts,
-# does not earn back alone: on seeded 2-connected blocks, one to a batch, it
-# takes 1.4 to 1.7 times as long as _cuts at 5 and 6 vertices and about as
-# long at 7, then 0.75 times at 8, 0.56 at 9 and 0.43 at 10.
-LANE_MIN_VERTICES = 8
-
-# Fewest lanes with two components on the smaller side for which a chunk of
-# _lane_sums sums them in closed form rather than decoding each one. The sum
-# costs three floods per chunk whatever the count: on 13-vertex blocks with
-# 24 edges, hundreds of such lanes per chunk, it cut the lane scan to 0.70-0.75
-# of its time for any threshold from 16 to 96; on one 8-vertex block, about
-# six such lanes, summing every chunk took 1.09 times as long as decoding.
-TWO_LANES_MIN = 48
 
 
 @lru_cache(maxsize=None)
@@ -506,6 +489,26 @@ def _add(counter: list[Mask], lanes: Mask) -> None:
         if not lanes:
             return
     counter.append(lanes)
+
+
+def _peel(live: Mask, members: list[Mask],
+          links: list[list[tuple[int, Mask]]]) -> tuple[list[Mask], list[Mask]]:
+    """Peel the components of every lane by their lowest vertex: vertex v,
+    in order, seeds a component in the lanes of live & members[v] that no
+    flood from a lower vertex has reached, floods it along links, and adds
+    its seed lanes to a bit-sliced counter. Returns each vertex's seed
+    lanes and the counter, whose value in a lane is its component count."""
+    covered = [0] * len(members)
+    seeds = []
+    counter: list[Mask] = []
+    for v, mv in enumerate(members):
+        seed = live & mv & ~covered[v]
+        seeds.append(seed)
+        if seed:
+            _add(counter, seed)
+            covered[v] |= seed
+            _flood(covered, links, [v])
+    return seeds, counter
 
 
 def _power_sums(totals: list[int], lanes: Mask, counter: list[Mask], span: int,
@@ -555,11 +558,9 @@ def _lane_sums(blocks: list[tuple[Mask, ...]]) -> list[int]:
       u of the lanes where uv crosses;
     * the crossing edges must connect: a push flood from vertex 0 along
       them, kept in the lanes that it fills;
-    * the components of each side are peeled by their lowest vertex:
-      vertex v, in order, seeds a component in the lanes that no flood
-      from a lower vertex has reached, floods it along the same-side
-      edges, and adds its seed lanes to a bit-sliced counter q of
-      components; the seeds of each side are tallied up to three;
+    * the components of both sides are peeled by _peel along the
+      same-side edges into a bit-sliced counter q of components, and the
+      seeds of each side are tallied up to three;
     * a lane where one side gets a single seed is a star, whose quotient
       is K_{1,q-1} with mu = 2^(q-1), summed from the counter by q;
     * a lane whose smaller side S (side 1 on a tie, as _quotient_mu picks)
@@ -571,8 +572,7 @@ def _lane_sums(blocks: list[tuple[Mask, ...]]) -> list[int]:
       lowest part2 vertex, and Y is the rest of S. A T vertex touches X
       in the lanes where a crossing neighbour is in X; spread along the
       same-side edges, that marks whole T components, and r adds their
-      seeds in a second counter. A chunk with fewer than TWO_LANES_MIN
-      such lanes, counted over all its slots, decodes them instead.
+      seeds in a second counter.
 
     The stars and the summed two-component lanes are never decoded; their
     sums are split back by slot. The other accepted lanes, |S| >= 3 among
@@ -652,47 +652,34 @@ def _lane_sums(blocks: list[tuple[Mask, ...]]) -> list[int]:
             live &= r
         if not live:
             continue
-        # Peel each side's components by their lowest vertex: v seeds a
-        # component in the lanes that no flood from a lower vertex has
-        # reached, and floods them along its same-side edges. more1 and
-        # many1 are the lanes with a second and a third seed on side 1,
-        # which vertex 0 seeds in every lane; seen2, more2 and many2 those
-        # with a first, second and third seed on side 2.
-        covered = [0] * n
-        seeds = [0] * n
-        first2 = [0] * n
-        counter: list[Mask] = []
+        # Peel the components of both sides along the same-side edges.
+        # more1 and many1 are the lanes with a second and a third seed on
+        # side 1, which vertex 0 seeds in every lane; seen2, more2 and many2
+        # those with a first, second and third seed on side 2, and first2
+        # the first side 2 seed of each vertex past 0.
+        seeds, counter = _peel(live, [live] * n, same)
         more1 = many1 = seen2 = more2 = many2 = 0
-        for v in range(n):
-            seed = live ^ covered[v]
-            if not seed:
-                continue
-            seeds[v] = seed
-            if v:
-                seed2 = seed & masks[v]
-                seed1 = seed ^ seed2
-                many1 |= more1 & seed1
-                more1 |= seed1
-                many2 |= more2 & seed2
-                more2 |= seen2 & seed2
-                first2[v] = seed2 & ~seen2
-                seen2 |= seed2
-            _add(counter, seed)
-            covered[v] = live
-            _flood(covered, same, [v])
+        first2 = []
+        for seed, m in zip(seeds[1:], masks[1:]):
+            seed2 = seed & m
+            seed1 = seed ^ seed2
+            many1 |= more1 & seed1
+            more1 |= seed1
+            many2 |= more2 & seed2
+            more2 |= seen2 & seed2
+            first2.append(seed2 & ~seen2)
+            seen2 |= seed2
         non_star = more1 & more2
         two1 = non_star & ~many1
         two2 = non_star & many1 & ~many2
         two = two1 | two2
-        if two.bit_count() < TWO_LANES_MIN:
-            two = 0
         _power_sums(totals, live ^ non_star, counter, span, -1)
         if two:
             # X is vertex 0's component (S = side 1) or the lowest part2
             # vertex's (S = side 2), Y the rest of S; to_x and to_y mark the
             # T components that touch them, and once counts those touching
             # exactly one.
-            xs = [two1] + [f & two2 for f in first2[1:]]
+            xs = [two1] + [f & two2 for f in first2]
             _flood(xs, same, [v for v, x in enumerate(xs) if x])
             ys = [(two1 & ~m | two2 & m) & ~x for m, x in zip(masks, xs)]
             to_x, to_y = [], []
@@ -764,9 +751,9 @@ def mu_of(g: Graph, part2: Mask) -> int:
 
 def count_facets(g: Graph) -> int:
     """Facet count of one graph from its decomposition, _decompose: the
-    join formula, the block product, _cuts on blocks below
-    LANE_MIN_VERTICES and a batch of one to _lane_sums for each block
-    left to scan. Refuses what count_plan refuses."""
+    join formula, the block product, and a batch of one to _lane_sums for
+    each block left to scan, whatever its size. Refuses what count_plan
+    refuses."""
     count, scans = _decompose(g)
     for rows in scans:
         count *= _lane_sums([rows])[0]
@@ -807,11 +794,9 @@ def _decompose(g: Graph) -> Plan:
     complement is disconnected) of any side sizes is counted whole by
     _count_join. Any other graph is the product over its blocks (the count
     is multiplicative under 1-sums): a block that is a join is counted by
-    _count_join, one of fewer than LANE_MIN_VERTICES vertices by its cut
-    multiplicities over _cuts, one cut at a time, as its 64 or fewer cuts
-    do not pay back a lane scan's fixed cost alone; any other block is
-    left in scans, relabelled, for _lane_sums, and refused here if it is
-    over MAX_SCAN_VERTICES. The complement rows are built once.
+    _count_join, and any other block, of 5 or more vertices, is left in
+    scans, relabelled, for _lane_sums, and refused here if it is over
+    MAX_SCAN_VERTICES. The complement rows are built once.
     """
     _require_connected(g)
     adj = g.adj
@@ -824,12 +809,10 @@ def _decompose(g: Graph) -> Plan:
         count = _count_join(adj, co, b)
         if count is None:
             rows = induced_rows(adj, b)
-            if len(rows) >= LANE_MIN_VERTICES:
-                _require_scan(rows)
-                scans.append(rows)
-                continue
-            count = sum(mu for _, mu in _cuts(rows))
-        factor *= count
+            _require_scan(rows)
+            scans.append(rows)
+        else:
+            factor *= count
     return factor, scans
 
 
@@ -839,11 +822,11 @@ def count_many(items: Iterable[tuple[Tag, Plan | None]]) -> Iterator[tuple[Tag, 
 
     The scans of many graphs share lane scans: a graph of at most
     WHOLE_SCAN_MAX_VERTICES vertices is scanned whole, and a larger one's
-    blocks of LANE_MIN_VERTICES or more vertices. Each block left to scan
-    waits in the queue of its vertex count n, and a queue is scanned by
-    one _lane_sums call when it fills a chunk, 2^(LANE_BITS - n + 1)
-    blocks below LANE_BITS + 1 vertices and one from there, or when the
-    input ends. Items are pulled one at a time and each count is yielded
+    non-join blocks, of 5 or more vertices. Each block left to scan waits
+    in the queue of its vertex count n, and a queue is scanned by one
+    _lane_sums call when it fills a chunk, 2^(LANE_BITS - n + 1) blocks
+    below LANE_BITS + 1 vertices (256 of 5 vertices) and one from there,
+    or when the input ends. Items are pulled one at a time and each count is yielded
     once it and every earlier count are known, so at most a chunk of
     blocks per size is held at a time.
     """
@@ -1005,11 +988,10 @@ def _component_power_sum(adj: tuple[Mask, ...], cover: Mask) -> int:
     and in all or none of them above. Per chunk, by whole-lane operations:
     S covers v when it meets the closed neighbourhood N[v], so the sets
     kept are the AND over v in cover of the OR of M_u over N[v]; the
-    components of adj[S] are peeled by their lowest vertex, each seeding
-    in the lanes that no flood from a lower vertex has reached and
-    flooding along the edges of S, its seeds added to a bit-sliced
-    counter q; and the sum of 2^q comes from splitting the kept lanes by
-    q. A graph on more than MAX_SCAN_VERTICES vertices is refused before
+    components of adj[S] are peeled by _peel, vertex v seeding only in
+    the lanes where it is in S and flooding along the edges of S, into a
+    bit-sliced counter q; and the sum of 2^q comes from splitting the kept
+    lanes by q. A graph on more than MAX_SCAN_VERTICES vertices is refused before
     any lane mask is built.
 
     Cached on (adj, cover): the same join side recurs across graphs. The
@@ -1040,13 +1022,6 @@ def _component_power_sum(adj: tuple[Mask, ...], cover: Mask) -> int:
             continue
         masks = [*lanes, *(ones if c >> k & 1 else 0 for k in range(n - width))]
         links = [[(u, masks[u]) for u in iter_bits(row)] for row in adj]
-        covered = [0] * n
-        counter: list[Mask] = []
-        for v, mv in enumerate(masks):
-            seed = live & mv & ~covered[v]
-            if seed:
-                _add(counter, seed)
-                covered[v] |= seed
-                _flood(covered, links, [v])
+        _, counter = _peel(live, masks, links)
         _power_sums(total, live, counter, 1 << width)
     return total[0]

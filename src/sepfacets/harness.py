@@ -346,9 +346,9 @@ def _base_vertices(n_max: int) -> Iterator[tuple]:
 
 def _route_equivalence(g: Graph) -> Iterator[tuple[str, int]]:
     # The cut sum splits neither joins nor blocks and scans one cut at a
-    # time, so on a block of 8 or more vertices it shares no scan code with
-    # count_facets, which takes 2^12 cuts at a time there; decomposition
-    # sanity ties it to the oracle.
+    # time, so it shares no scan code with count_facets, which scans every
+    # non-join block 2^12 cuts at a time; decomposition sanity ties it to
+    # the oracle.
     decomposed = count_facets(g)
     if decomposed != sum(mu for _, mu in enumerate_facet_subgraphs(g)):
         yield "route_equivalence", decomposed

@@ -26,10 +26,11 @@ DEFAULT_CANONICAL_LIMIT = 10
 # Largest vertex count of one cut scan or vertex-subset scan (dominating sets,
 # subgraph_component_value) in facets.py.
 # A scan over n vertices visits 2^(n-1) cuts or 2^n sets, 2^12 at a time in
-# the bit lanes of big-int masks (a block below 8 vertices one cut at a
-# time): the 2^28 sets of a 28-vertex cycle take about 2.5 s. A larger scan
-# (2^32 sets or more) is refused. Joins, trees and 1-sums of small blocks
-# are counted without a scan this large.
+# the bit lanes of big-int masks (the reference cut scan behind
+# enumerate_facet_subgraphs one cut at a time): the 2^28 sets of a 28-vertex
+# cycle take about 2.5 s. A larger scan (2^32 sets or more) is refused.
+# Joins, trees and 1-sums of small blocks are counted without a scan this
+# large.
 MAX_SCAN_VERTICES = 32
 
 # Largest vertex count of enumerate_facets_oracle, which tries 3^(n-1)

@@ -489,7 +489,7 @@ def cut_sum(rows):
 
 def small_blocks(monkeypatch):
     """The distinct blocks of the connected classes on 2..8 vertices, joins
-    and blocks below LANE_MIN_VERTICES included, as rows."""
+    included, as rows."""
     monkeypatch.setenv("SEP_MAX_N", "8")
     seen = set()
     for n in range(2, 9):
@@ -546,22 +546,21 @@ def test_ladder_counts():
 
 
 def test_two_component_lanes_sum_either_way(monkeypatch):
-    # At threshold 0 every chunk sums its lanes with two components on the
-    # smaller side in closed form, so only quotients with three or more
-    # components on each side are decoded; at 2^13 no chunk does, and
-    # those lanes are decoded.
+    # The cuts whose smaller side S has two components, with S on either
+    # side (side 1 on a tie), are summed in closed form in every chunk
+    # that has any, so the lane scan decodes only quotients with three or
+    # more components on each side, and its totals are the cut sums.
     cases = [*small_blocks(monkeypatch), *(g.adj for g in seeded_prime_blocks(range(9, 17), 11)),
              *(ladder(m).adj for m in range(2, 11))]
-    expected = [cut_sum(rows) for rows in cases]
     decoded = []
     mu = facets._quotient_mu
     monkeypatch.setattr(facets, "_quotient_mu", lambda lo, hi, h, comps1, comps2:
-                        decoded.append(min(len(comps1), len(comps2))) or mu(lo, hi, h, comps1, comps2))
-    for threshold in 0, 1 << 13:
-        monkeypatch.setattr(facets, "TWO_LANES_MIN", threshold)
-        decoded.clear()
-        assert [facets._lane_sums([rows])[0] for rows in cases] == expected
-        assert min(decoded) == (3 if threshold == 0 else 2)
+                        decoded.append((len(comps1), len(comps2))) or mu(lo, hi, h, comps1, comps2))
+    expected = [cut_sum(rows) for rows in cases]
+    assert {1 if c1 <= c2 else 2 for c1, c2 in decoded if min(c1, c2) == 2} == {1, 2}
+    decoded.clear()
+    assert [facets._lane_sums([rows])[0] for rows in cases] == expected
+    assert decoded and min(min(sides) for sides in decoded) == 3
 
 
 def in_batches(blocks_by_size):
@@ -639,15 +638,19 @@ def test_count_many_streams_its_input():
 
 
 def test_count_many_equals_count_facets_on_small_classes(monkeypatch):
-    # one stream: every class on 2..7 vertices, then 12 seeded 8-, 9- and
-    # 10-vertex graphs of each kind with the sizes interleaved and a None
-    # item among them. The graphs of 9 or fewer vertices are scanned
+    # one stream: every class on 2..7 vertices, the 16-vertex 1-sum of C5,
+    # C6 and C7 and the 10-vertex 1-sum of C7 and K4, then 12 seeded 8-, 9-
+    # and 10-vertex graphs of each kind with the sizes interleaved and a
+    # None item among them. The graphs of 9 or fewer vertices are scanned
     # whole and the others decomposed; every count equals count_facets and
-    # the cut sum, and the 8- and 9-vertex scans end in a partial chunk.
+    # the cut sum, the 8- and 9-vertex scans end in a partial chunk, and a
+    # decomposed graph's block under 8 vertices shares its batch.
     wanted = dict.fromkeys(("join", "separable", "prime"), 12)
     by_size = {n: seeded_by_kind(random.Random(n), n, wanted, n * (n - 1) // 2 - 2)
                for n in (8, 9, 10)}
     graphs = [g for n in range(2, 8) for g in generate_connected(n)]
+    graphs += [one_sum(one_sum(cycle_graph(5), 0, cycle_graph(6), 0), 3, cycle_graph(7), 0),
+               one_sum(cycle_graph(7), 0, complete_graph(4), 0)]
     graphs += [found[i] for i in range(12) for kinds in by_size.values()
                for found in kinds.values()]
     items = [(g, count_plan(g)) for g in graphs]
@@ -655,14 +658,19 @@ def test_count_many_equals_count_facets_on_small_classes(monkeypatch):
     expected = [(g, count_facets(g)) for g in graphs]
     expected.insert(len(expected) - 50, (None, None))
     assert [count for g, count in expected if g is not None] == [cut_sum(g.adj) for g in graphs]
+    small = [rows for g, plan in items if g is not None and g.n > 9
+             for rows in plan[1] if len(rows) < 8]
+    assert sorted(map(len, small[:4])) == [5, 6, 7, 7]
     batches = []
     lane_sums = facets._lane_sums
-    monkeypatch.setattr(facets, "_lane_sums", lambda batch: batches.append(
-        (len(batch[0]), len(batch))) or lane_sums(batch))
+    monkeypatch.setattr(facets, "_lane_sums", lambda batch: batches.append(batch)
+                        or lane_sums(batch))
     assert list(facets.count_many(items)) == expected
     for n, cap in (8, 32), (9, 16):
-        sizes = {size for m, size in batches if m == n}
+        sizes = {len(batch) for batch in batches if len(batch[0]) == n}
         assert cap in sizes and min(sizes) < cap
+    assert any(len(batch) > 1 and any(rows is block for rows in batch for block in small)
+               for batch in batches if len(batch[0]) < 8)
 
 
 def quotient_count(g):
@@ -696,9 +704,9 @@ def test_quotient_count_matches_strict_count(monkeypatch):
 
 
 def test_count_facets_scans_a_block_by_its_size(monkeypatch):
-    # blocks of LANE_MIN_VERTICES or more go to the lane scan, a batch of
-    # one for a single graph, smaller ones to _cuts; the total is the block
-    # product either way
+    # every non-join block goes to the lane scan, a batch of one block of
+    # its size for a single graph, and none to _cuts; the total is the
+    # block product
     routes = []
     cuts, lane_sums = facets._cuts, facets._lane_sums
     monkeypatch.setattr(facets, "_cuts", lambda rows: routes.append(("_cuts", len(rows)))
@@ -710,7 +718,7 @@ def test_count_facets_scans_a_block_by_its_size(monkeypatch):
     assert count_facets(g) == count_facets(c7) * count_facets(c8) * 6
     routes.clear()
     count_facets(g)
-    assert sorted(routes) == [("_cuts", 7), ("_lane_sums", [8])]
+    assert sorted(routes) == [("_lane_sums", [7]), ("_lane_sums", [8])]
 
 
 def test_count_plan_scans_a_graph_of_up_to_9_vertices_whole(monkeypatch):
