@@ -5,15 +5,16 @@ bit string (column-major, the graph6 bit order) over all vertex orderings
 whose degree sequence is sorted ascending. Restricting to degree-sorted
 orderings is isomorphism-invariant, so equal certificates still mean
 isomorphic graphs, and it turns the search into one permutation class per
-degree multiset. A prefix-pruned branch and bound keeps it fast for n <= 10.
-Each level draws its candidates from a mask of the vertices of its degree,
-carries a flag saying whether its prefix still equals the best ordering's
-(only then can a chunk be pruned), and the forced last vertex is placed
-without a level of its own.
+degree multiset. The search keeps it fast for n <= 10 by going level by
+level over the frontier of tied prefixes: each level extends every prefix
+still tied for least by each vertex of the next degree, and keeps only the
+extensions whose new bits are least, so a prefix is dropped at the first
+level where another one has smaller bits.
 The search also skips a vertex while an earlier twin of it (same
 neighbourhood apart from each other) is unplaced: swapping two twins is an
-automorphism fixing every other vertex, so that subtree repeats one already
-searched, and complete graphs, stars and K_{a,b} no longer cost n! leaves.
+automorphism fixing every other vertex, so that extension repeats one
+already made, and complete graphs, stars and K_{a,b} no longer cost n!
+orderings.
 
 Generation works by augmentation: every (connected) graph on n vertices is
 some (connected) graph on n-1 vertices plus one new vertex, so extending
@@ -37,7 +38,7 @@ fixing the new vertex, so they share one certificate and pass or fail the
 deletion rule together. The first candidate seen for each class is thus an
 orbit minimum already, and the classes, representatives and their order are
 those of extending by every neighbourhood. The group's generators come from
-the certificate search itself: every leaf that ties with the best ordering
+the certificate search itself: every ordering that ties with the best one
 is an automorphism, and so is every twin swap it skips. They are found by
 searching each parent once more when it is extended, not kept, so a level
 holds no more than its tuple of graphs.
@@ -65,26 +66,29 @@ def _search(adj: tuple[int, ...] | list[int]) -> tuple[bytes, list[list[int]]]:
     generators of its automorphism group as vertex maps (perm[v] is the
     image of v).
 
-    The search places one vertex per level k, taking the candidates from the
-    pool of vertices whose degree is the k-th smallest (a mask made once per
-    degree, ANDed with the unplaced ones) in the order of their chunk, the
-    bits of their row at the vertices already placed. Each level is told
-    whether its prefix equals the best ordering's (tight): only a tight
-    level compares its chunks with the best one's, and stops at the first
-    larger chunk, and a level becomes tight again when a leaf below it
-    improves the best, since that leaf shares its prefix. The last vertex
-    is forced and is placed inline, with no level of its own. Twins are
-    looked for within a pool only: N(u) - w = N(w) - u gives u and w equal
-    degrees, as w is in N(u) exactly when u is in N(w).
+    The search places one vertex per level k over a frontier of prefixes
+    that all tie for the least certificate bits so far, kept in lexicographic
+    order of their vertex sequences. Each prefix, in frontier order, is
+    extended by the unplaced vertices of the pool of the k-th smallest degree
+    (a mask made once per degree) in ascending index, each giving its chunk,
+    the bits of its row at the vertices already placed. Only the extensions
+    with the level's least chunk are kept, in that order, so the frontier
+    stays in lexicographic order, and that chunk is the certificate's k-th.
+    After the last level the frontier holds the best orderings: frontier[0] is
+    the lexicographically first, the one a depth-first branch and bound over
+    the same candidates meets first, and the others tie with it. That search
+    visits every prefix of every frontier too, so this one extends no more.
+    Twins are looked for within a pool only: N(u) - w = N(w) - u gives u and
+    w equal degrees, as w is in N(u) exactly when u is in N(w).
 
     The generators are the automorphisms the search meets: the swap of each
     vertex with its first earlier twin (the twins it skips), and for each
-    leaf that ties with the best ordering the map from the best ordering to
-    that leaf's. They generate the whole group: an automorphism carries the
-    best ordering to another best ordering, and twin swaps turn that one
-    into a best ordering that places each set of twins in index order, which
-    is a leaf the search visits (the bound prunes only prefixes above the
-    best).
+    later ordering of the last frontier the map from frontier[0] to it. They
+    generate the whole group: an automorphism carries the best ordering to
+    another best ordering, and twin swaps turn that one into a best ordering
+    that places each set of twins in index order, which the last frontier
+    holds (a prefix is dropped only when another at its level has a smaller
+    chunk, or when it places a vertex before an earlier twin of it).
     """
     n = len(adj)
     degs = [adj[v].bit_count() for v in range(n)]
@@ -101,69 +105,31 @@ def _search(adj: tuple[int, ...] | list[int]) -> tuple[bytes, list[list[int]]]:
             if adj[u] & ~low == adj[low.bit_length() - 1] & ~(1 << u):
                 earlier_twins[u] |= low
 
-    best: list[int] = []
-    best_order: list[int] = []
-    ties: list[list[int]] = []
-    placed: list[int] = []
-    chunks: list[int] = []
-    last = n - 1
-
-    def descend(k: int, unplaced: int, tight: bool) -> bool:
-        """Search below the prefix placed; True if a leaf improved best."""
-        nonlocal best
-        if k == last:
-            u = unplaced.bit_length() - 1
-            row = adj[u]
-            chunk = 0
-            for v in placed:
-                chunk = (chunk << 1) | (row >> v & 1)
-            if tight:
-                if chunk > best[k]:
-                    return False
-                if chunk == best[k]:
-                    ties.append(placed + [u])
-                    return False
-            best = chunks + [chunk]
-            best_order[:] = placed
-            best_order.append(u)
-            ties.clear()
-            return True
-        options = []
-        free = level_pool[k] & unplaced
-        while free:
-            low = free & -free
-            free ^= low
-            u = low.bit_length() - 1
-            if earlier_twins[u] & unplaced:
-                continue
-            row = adj[u]
-            chunk = 0
-            for v in placed:
-                chunk = (chunk << 1) | (row >> v & 1)
-            options.append((chunk, u))
-        options.sort()
-        improved = False
-        for chunk, u in options:
-            if tight:
-                if chunk > best[k]:
-                    break
-                child_tight = chunk == best[k]
-            else:
-                child_tight = False
-            placed.append(u)
-            chunks.append(chunk)
-            if descend(k + 1, unplaced ^ 1 << u, child_tight):
-                improved = tight = True
-            chunks.pop()
-            placed.pop()
-        return improved
-
-    descend(0, (1 << n) - 1, False)
+    frontier: list[tuple[tuple[int, ...], int]] = [((), (1 << n) - 1)]
     bits = 0
-    nbits = 0
     for k in range(n):
-        bits = (bits << k) | best[k]
-        nbits += k
+        least = 1 << k
+        kept = []
+        for order, unplaced in frontier:
+            free = level_pool[k] & unplaced
+            while free:
+                low = free & -free
+                free ^= low
+                u = low.bit_length() - 1
+                if earlier_twins[u] & unplaced:
+                    continue
+                row = adj[u]
+                chunk = 0
+                for v in order:
+                    chunk = (chunk << 1) | (row >> v & 1)
+                if chunk < least:
+                    least = chunk
+                    kept = [(order + (u,), unplaced ^ low)]
+                elif chunk == least:
+                    kept.append((order + (u,), unplaced ^ low))
+        frontier = kept
+        bits = (bits << k) | least
+    nbits = n * (n - 1) // 2
     pad = (-nbits) % 8
     packed = (bits << pad).to_bytes((nbits + pad) // 8, "big") if nbits else b""
 
@@ -174,7 +140,8 @@ def _search(adj: tuple[int, ...] | list[int]) -> tuple[bytes, list[list[int]]]:
             perm = list(range(n))
             perm[u], perm[w] = w, u
             generators.append(perm)
-    for order in ties:
+    best_order = frontier[0][0]
+    for order, _ in frontier[1:]:
         perm = [0] * n
         for v, image in zip(best_order, order):
             perm[v] = image

@@ -7,9 +7,9 @@ setting it can only let more inputs through (memory and time grow fast).
 * max_vertices: any Graph, default 64 (vertex sets are bitmasks).
 * generator_limit: the isomorph-free generator and the identity sweep that
   runs over its families, default 7.
-* canonical_limit: canonical_form, a branch-and-bound search over
-  degree-sorted vertex orderings that skips swaps of twin vertices,
-  default 10.
+* canonical_limit: canonical_form, a level-by-level search over the tied
+  prefixes of degree-sorted vertex orderings that skips swaps of twin
+  vertices, default 10.
 
 Two caps are fixed, whatever SEP_MAX_N says: MAX_SCAN_VERTICES for the cut
 and vertex-subset scans, a budget of about 2^32 candidates, and

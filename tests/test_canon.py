@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import defaultdict
 
 import pytest
@@ -47,11 +48,24 @@ PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(i, i + 5) for i in range(5)]
                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
+# Symmetric twin-free graphs at the canonical cap, whose last frontiers hold
+# many tied orderings: K5 x K2 (240 automorphisms) and the 5-prism C5 x K2
+# (20), and the regular 8-vertex Q3 and C8, every ordering of which is
+# degree-sorted.
+K5_BOX_K2 = from_edges(10, list(itertools.combinations(range(5), 2))
+                       + list(itertools.combinations(range(5, 10), 2))
+                       + [(i, i + 5) for i in range(5)])
+PRISM5 = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                    + [(i, i + 5) for i in range(5)]
+                    + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+Q3 = from_edges(8, [(v, v | 1 << b) for v in range(8) for b in range(3) if not v >> b & 1])
+
 # sha256 of repr((certificate, generators)) + "\n" from canon._search, over
 # generate_all(1..7), TWIN_HEAVY and PETERSEN in that order, as recorded from
 # the search that sliced and compared the best prefix at every option. The
 # order of the generators fixes the orbit closure's work and the search count
-# that test_cold_generation_search_count pins.
+# that test_cold_generation_search_count pins. The level-by-level search over
+# the frontier of tied prefixes leaves the digest as it was.
 SEARCH_SHA256 = "1c83e2ca89533f7728a7073b1731c18d1f3ad2de24968da9da2cd63dfe3bbedb"
 
 # sha256 of the graph6 lines of generate_all(n) and generate_connected(n) for
@@ -152,8 +166,21 @@ def test_cert_stable_under_random_permutation(g, rng):
     assert canonical_form(g) == canonical_form(relabel(g, perm))
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_cert_stable_under_random_permutation_at_the_cap(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        p = rng.uniform(0.2, 0.8)
+        g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        cert = canonical_form(g)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, perm)) == cert
+
+
 @settings(max_examples=60, deadline=None)
-@with_examples(TWIN_HEAVY)
+@with_examples(TWIN_HEAVY + [Q3, cycle_graph(8)])
 @given(graph_strategy(max_n=6))
 def test_cert_is_minimum_over_degree_sorted_orderings(g):
     assert canonical_form(g) == brute_force_certificate(g)
@@ -203,8 +230,8 @@ def test_search_generators_give_the_group_on_all_small_graphs(n):
 
 
 @pytest.mark.parametrize("g", [cycle_graph(10), PETERSEN, complete_bipartite(5, 5),
-                               complete_multipartite([3, 3, 3])],
-                         ids=["C10", "Petersen", "K5,5", "K3,3,3"])
+                               complete_multipartite([3, 3, 3]), K5_BOX_K2, PRISM5],
+                         ids=["C10", "Petersen", "K5,5", "K3,3,3", "K5xK2", "5-prism"])
 def test_search_generators_give_the_group_on_symmetric_graphs(g):
     assert_generators_give_the_group(g)
 
