@@ -16,7 +16,6 @@ from typing import Sequence
 from .canon import generate_connected
 from .facets import (
     count_facets,
-    count_suspension_via_domination,
     enumerate_facet_subgraphs,
     enumerate_facets_oracle,
     oracle_parity_classes,
@@ -37,7 +36,6 @@ from .formulas import (
 )
 from .graphs import (
     Graph,
-    delete_vertex,
     edges,
     full_mask,
     iter_bits,
@@ -77,7 +75,7 @@ def _build_parser() -> _Parser:
     src.add_argument("--edges", metavar="SPEC", help="inline 'n m;i j;i j;...'")
     src.add_argument("--file", metavar="PATH", help="edge-list or graph6 file")
     count.add_argument("--method", default="decomposition",
-                       choices=["oracle", "decomposition", "domination", "formula"])
+                       choices=["oracle", "decomposition", "formula"])
 
     facets = sub.add_parser("facets", help="list facet-defining labelings")
     src = facets.add_mutually_exclusive_group(required=True)
@@ -137,11 +135,6 @@ def _count(args: argparse.Namespace) -> int:
         value = sum(oracle_parity_classes(g).values())
     elif args.method == "decomposition":
         value = count_facets(g)
-    elif args.method == "domination":
-        apex = next((v for v in range(g.n) if g.adj[v].bit_count() == g.n - 1), None)
-        if g.n < 2 or apex is None:
-            raise CliInputError("--method domination needs a vertex adjacent to all others")
-        value = count_suspension_via_domination(delete_vertex(g, apex))
     else:
         parts = complete_multipartite_parts(g)
         if parts is None or len(parts) < 2:

@@ -33,15 +33,16 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   the facet count of the bipartite quotient left by contracting the other
   edges, counted by _quotient_mu from the components of the cut's two
   sides: with S the side of fewer components, 2^(q-1) for the star that
-  most cuts give (|S| = 1), a closed form for |S| = 2, and otherwise a
-  labeling of S alone. Every block left to scan, of 5 or more vertices
-  as no smaller block is a non-join, is scanned by _lane_sums, 2^12 cuts
-  at a time, one cut per bit lane of big-int masks, which sums its stars
-  and its cuts with |S| = 2 without listing them; count_facets scans each
-  block it leaves as a batch of one. The lanes of one chunk hold the cuts
-  of up to 2^(13-n) graphs or blocks of the same size n: count_many
-  queues the scans of many graphs by size and scans a queue once it
-  fills a chunk (256 of 5 vertices, 32 of 8, 16 of 9). Its per-graph
+  most cuts give (|S| = 1), and otherwise a labeling of S alone. Every
+  block left to scan, of 5 or more vertices as no smaller block is a
+  non-join, is scanned by _lane_sums, 2^12 cuts at a time, one cut per
+  bit lane of big-int masks, which sums its stars, and its cuts with
+  |S| = 2 by a closed form of its own, without listing them;
+  count_facets scans each block it leaves as a batch of one. The lanes
+  of one chunk hold the cuts of up to 2^(13-n) graphs or blocks of the
+  same size n: count_many queues the scans of many graphs by size and
+  scans a queue once it fills a chunk (256 of 5 vertices, 32 of 8, 16
+  of 9). Its per-graph
   part, count_plan, leaves a connected graph of at most
   WHOLE_SCAN_MAX_VERTICES (9) vertices whole to the scan, which in a
   shared chunk costs less than the decomposition, and decomposes a
@@ -51,7 +52,8 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   enumerate_facet_subgraphs, which returns its terms as (part2, mu)
   pairs, so their sum is the cut count with no join split, from a scan
   that shares no scan code with _lane_sums: only the union tables, the
-  components and _quotient_mu. The identity sweep checks count_facets
+  components and _quotient_mu, which labels every |S| = 2 cut that the
+  lane scan sums in closed form. The identity sweep checks count_facets
   against that sum on every graph it visits. mu_of(g, part2)
   recounts one cut through contract_edges and count_bipartite_strict,
   which labels with the oracle's enumerator.
@@ -66,8 +68,8 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   big-int masks, as _lane_sums scans cuts.
 
 The two leaf counts of routes 2 and 3, _side_labelings on the masks of a
-quotient with three or more components on each side and
-_component_power_sum on a scanned set's rows, are pure
+quotient with two or more components on each side (three or more in the
+lane scan) and _component_power_sum on a scanned set's rows, are pure
 functions of tuples that recur across cuts and graphs, so each keeps an
 lru_cache bounded at 2^16 entries and counts each distinct tuple once per
 process. The references they are checked against, the oracle's parity
@@ -247,29 +249,16 @@ def _quotient_mu(lo: list[Mask], hi: list[Mask], h: int,
 
     * |S| = 1: the quotient is the star K_{1,|T|}, and each T component
       picks a sign: 2^|T|.
-    * |S| = 2: call the S components x and y and fix x = 0. Some T
-      component touches both, as the quotient is connected, so y is 0 or
-      +-2. With y = 0 each of the k = |T| components takes +-1 freely:
-      2^k. With y = +-2 the c components that touch both are forced to the
-      middle value and the others keep 2 choices each: 2 * 2^(k - c). In
-      all, 2^k + 2^(k - c + 1).
-    * |S| >= 3: _side_labelings, keyed on |S| and the sorted masks of the
+    * |S| >= 2: _side_labelings, keyed on |S| and the sorted masks of the
       S components each T component touches, as the count does not depend
-      on the order of T.
+      on the order of T. _lane_sums sums the |S| = 2 cuts in closed form
+      instead, so this scan is the reference it is checked against.
     """
     side, other = (comps1, comps2) if len(comps1) <= len(comps2) else (comps2, comps1)
-    k = len(other)
     if len(side) == 1:
-        return 1 << k
+        return 1 << len(other)
     low = (1 << h) - 1
     near = [lo[comp & low] | hi[comp >> h] for comp in side]
-    if len(side) == 2:
-        x, y = near
-        c = 0
-        for comp in other:
-            if comp & x and comp & y:
-                c += 1
-        return (1 << k) + (1 << (k - c + 1))
     touches = []
     for comp in other:
         mask = 0
@@ -563,23 +552,29 @@ def _lane_sums(blocks: list[tuple[Mask, ...]]) -> list[int]:
       seeds of each side are tallied up to three;
     * a lane where one side gets a single seed is a star, whose quotient
       is K_{1,q-1} with mu = 2^(q-1), summed from the counter by q;
-    * a lane whose smaller side S (side 1 on a tie, as _quotient_mu picks)
-      has two components X and Y has mu = 2^(q-2) + 2^(r+1): that is
-      _quotient_mu's 2^k + 2^(k-c+1) with k = q - 2, and r = k - c counts
-      the components of the other side T that touch exactly one of X and
-      Y (each touches one at least, as every vertex has a crossing edge).
-      X is flooded from vertex 0 when S is side 1, else from the lane's
-      lowest part2 vertex, and Y is the rest of S. A T vertex touches X
-      in the lanes where a crossing neighbour is in X; spread along the
-      same-side edges, that marks whole T components, and r adds their
-      seeds in a second counter.
+    * a lane where one side S has two components X and Y and the other
+      side T has two or more (S is side 1 when both have two) has mu =
+      2^(q-2) + 2^(r+1), with r the number of T components that touch
+      exactly one of X and Y. Its quotient has X and Y on one side and
+      the k = q - 2 T components on the other, and a strict labeling
+      puts a T component one step from each S component it touches. Fix
+      X at 0. Some T component touches both, as the quotient is
+      connected, so Y is 0 or +-2. With Y = 0 each T component takes +-1
+      freely: 2^k. With Y = +-2 the T components that touch both are
+      forced to the middle value, and the r others keep 2 choices each,
+      as every T component touches one at least (every vertex has a
+      crossing edge): 2 * 2^r. X is flooded from vertex 0 when S is side
+      1, else from the lane's lowest part2 vertex, and Y is the rest of
+      S. A T vertex touches X in the lanes where a crossing neighbour is
+      in X; spread along the same-side edges, that marks whole T
+      components, and r adds their seeds in a second counter.
 
     The stars and the summed two-component lanes are never decoded; their
-    sums are split back by slot. The other accepted lanes, |S| >= 3 among
-    them, are decoded to part2 and counted by _quotient_mu from their
-    sides' components, as in _cuts, on the union tables of their slot's
-    block. Blocks over MAX_SCAN_VERTICES are refused before any lane mask
-    is built.
+    sums are split back by slot. The other accepted lanes, with three or
+    more components on each side, are decoded to part2 and counted by
+    _quotient_mu from their sides' components, as in _cuts, on the union
+    tables of their slot's block. Blocks over MAX_SCAN_VERTICES are
+    refused before any lane mask is built.
     """
     n = _require_scan(blocks[0])
     width = min(n - 1, LANE_BITS)

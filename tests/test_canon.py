@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from sepfacets import canon
 from sepfacets.canon import canonical_form, generate_all, generate_connected
+from sepfacets.facets import count_facets
 from sepfacets.formats import emit_graph6
 from sepfacets.graphs import (
     GraphError,
@@ -91,6 +92,32 @@ GENERATED_SHA256 = {
         "d34422af8d2645fba1c20f9636af35c3c2e672b5111730d1b40132ac088d8daf",
     ),
 }
+
+# Representative-free pins: the sha256 of the sorted lines
+# "<canonical_form(g).hex()> <count_facets(g)>\n" over generate_connected(n)
+# for n = 2..7, and of the sorted lines "<canonical_form(g).hex()>\n" over
+# generate_all(n) for n = 1..7, as recorded from the generator that extended
+# each parent by its orbit-least neighbourhoods and kept one graph per
+# certificate. Neither depends on which graph stands for a class or on the
+# order of the classes, so a generator that changes either still meets
+# them. CI pins both at n = 8 and the connected one at n = 9.
+CLASS_COUNT_SHA256 = (
+    "404c91185c53b2a14b4d6e410fa3526f9647d9e6a8713928acae207558098159",
+    "b03b800c3192d7415896382fbf573035c0abdc790d56a14f0c9b7d4697a83b0b",
+    "8527edd75ea049610b70874ef791bcb4e2601219aac2ae927f41ab00693b3ebd",
+    "f8e02b6f998e099adf02a2dc709b6e127d7ea29988268b22097ae089e85a1020",
+    "8108058fd05e49f5102e5659e672fc08ddb3f7de924d8de217df74a96fa4b4da",
+    "5fbbd609eb5d59950bf142f87f40a90d4e890a7fcd54392ca26ff9da6be5394e",
+)
+CERTIFICATE_SHA256 = (
+    "43fd56f56bb9bb18bc9c33966325732b2d7e58bfe2504a2c5c164b071c1b8653",
+    "7aacd8748a85645ccf7a1465480a37e8c1551ebe12e07a35bfba7107e25fb3a5",
+    "8d0678fc0faa26b73b8060a298144fb35b0b3890a56bfbe58b41529da6adc74d",
+    "32d71a62229a492d96c6337ebff5ea6f517e18bdec46eb0f6b0f002404147af9",
+    "d8dc22b619709c4810d100906fea6f8d1b306f20b1d6e1274cfaeb58a40d36b9",
+    "cad480487ae9b755d4761632a64c7a73740559734946ad7e7bf5404d173905e3",
+    "c7ce578609d845a5a9a2ad664cd5d6f3e00361eb2b1f7900f87d11a3c87c7b77",
+)
 
 
 def brute_force_certificate(g):
@@ -214,6 +241,27 @@ def test_representatives_are_pinned(generate):
     for n, digest in enumerate(GENERATED_SHA256[generate], start=1):
         lines = "".join(emit_graph6(g) + "\n" for g in generate(n))
         assert hashlib.sha256(lines.encode()).hexdigest() == digest, n
+
+
+def sorted_sha256(lines):
+    return hashlib.sha256("".join(sorted(lines)).encode()).hexdigest()
+
+
+def class_count_lines(graphs):
+    return [f"{canonical_form(g).hex()} {count_facets(g)}\n" for g in graphs]
+
+
+def test_class_counts_are_pinned_without_representatives():
+    for n, digest in enumerate(CLASS_COUNT_SHA256, start=2):
+        assert sorted_sha256(class_count_lines(generate_connected(n))) == digest, n
+    for n, digest in enumerate(CERTIFICATE_SHA256, start=1):
+        certs = [canonical_form(g).hex() + "\n" for g in generate_all(n)]
+        assert sorted_sha256(certs) == digest, n
+    # other representatives, in another order, meet the same pins
+    rng = random.Random(4)
+    for n in range(2, 7):
+        moved = [relabel(g, rng.sample(range(n), n)) for g in generate_connected(n)][::-1]
+        assert sorted_sha256(class_count_lines(moved)) == CLASS_COUNT_SHA256[n - 2], n
 
 
 def assert_generators_give_the_group(g):

@@ -444,16 +444,16 @@ def test_cut_multiplicities_are_oracle_parity_classes():
 
 
 def test_large_quotients_match_mu_of(monkeypatch):
-    # Sparse 11-vertex graphs reach quotients of 7 or more vertices in all
-    # three cases of the count, split by S, the side with fewer components:
-    # a star (|S| = 1) and |S| = 2 in closed form, and |S| >= 3 labelled on
-    # S by _side_labelings.
+    # Sparse 11-vertex graphs reach quotients of 7 or more vertices with S,
+    # the side with fewer components, of one, two, and three or more
+    # components. The cut scan counts a star (|S| = 1) in closed form and
+    # labels every other quotient on S by _side_labelings; the lane scan
+    # also sums |S| = 2 in closed form and labels only |S| >= 3. Both sums
+    # are the sum of mu_of.
     labelled = []
     count = facets._side_labelings
     monkeypatch.setattr(facets, "_side_labelings",
                         lambda s, touches: labelled.append(s + len(touches)) or count(s, touches))
-    # The lane scan sends exactly the same quotients to _side_labelings,
-    # and its sum is the cut sum.
     rng = random.Random(2)
     pairs = [(i, j) for j in range(11) for i in range(j)]
     by_side = {1: [], 2: [], 3: []}
@@ -466,20 +466,19 @@ def test_large_quotients_match_mu_of(monkeypatch):
         labelled.clear()
         cuts = enumerate_facet_subgraphs(g)
         labelled_by_cuts = sorted(labelled)
-        quotients = []
+        quotients = {1: [], 2: [], 3: []}
         for part2, mu in cuts:
             assert mu == mu_of(g, part2)
             cross = crossing(g, part2)
             comps = ref_components(g.n, [e for e in edges(g) if e not in cross])
             side1 = sum(1 for c in comps if not part2 >> c[0] & 1)
             fewer = min(side1, len(comps) - side1, 3)
+            quotients[fewer].append(len(comps))
             by_side[fewer].append(len(comps))
-            if fewer == 3:
-                quotients.append(len(comps))
-        assert labelled_by_cuts == sorted(quotients)
+        assert labelled_by_cuts == sorted(quotients[2] + quotients[3])
         labelled.clear()
         assert facets._lane_sums([g.adj]) == [sum(mu for _, mu in cuts)]
-        assert sorted(labelled) == sorted(quotients)
+        assert sorted(labelled) == sorted(quotients[3])
     assert all(max(sizes) >= 7 for sizes in by_side.values())
 
 
@@ -682,9 +681,10 @@ def quotient_count(g):
 
 
 def test_quotient_count_matches_strict_count(monkeypatch):
-    # every connected bipartite class on 2..8 vertices covers all three
-    # cases; seeded graphs up to 16 vertices, both sides of 3 or more,
-    # reach _side_labelings with 3 to 7 vertices on S
+    # every connected bipartite class on 2..8 vertices covers both cases,
+    # a star and S of two or more labelled; seeded graphs up to 16
+    # vertices, both sides of 3 or more, reach _side_labelings with 3 to 7
+    # vertices on S
     monkeypatch.setenv("SEP_MAX_N", "8")
     for n in range(2, 9):
         for g in generate_connected(n):

@@ -4,7 +4,7 @@ from sepfacets import formulas
 from sepfacets.canon import generate_all
 from sepfacets.cli import main
 from sepfacets.facets import count_facets
-from sepfacets.formats import emit_graph6
+from sepfacets.formats import emit_graph6, parse_graph6
 from sepfacets.formulas import (
     BALANCED_COMPLETE_BIPARTITE,
     K4_PLUS_TRIANGLES,
@@ -25,17 +25,22 @@ from sepfacets.formulas import (
 from sepfacets.graphs import (
     Graph,
     GraphError,
+    blocks,
+    complement_rows,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
+    components,
     cycle_graph,
     from_edges,
+    induced,
     join,
     one_sum,
     path_graph,
     star_graph,
     suspension,
 )
+from sepfacets.harness import sweep_conjecture
 
 from conftest import (
     empty_graph,
@@ -95,20 +100,46 @@ def test_conjecture_bounds_values():
         conjecture_bounds(2)
 
 
+def bracket(n):
+    """(lower, upper) of conjecture_bounds(n), and (2, 2) for K2."""
+    if n == 2:
+        return 2, 2
+    bounds = conjecture_bounds(n)
+    return bounds.lower, bounds.upper
+
+
 def test_bracket_holds_under_one_sums():
     # the separable reduction proved in conjecture_bounds: blocks of a and
     # b vertices make a 1-sum of a + b - 1, and K2 counts 2
-    def bracket(n):
-        if n == 2:
-            return 2, 2
-        bounds = conjecture_bounds(n)
-        return bounds.lower, bounds.upper
-
     for b in range(2, 64):
         for a in range(2, min(b, 65 - b) + 1):
             (lo_a, up_a), (lo_b, up_b), (lo, up) = bracket(a), bracket(b), bracket(a + b - 1)
             assert up_a * up_b <= up
             assert lo_a * lo_b >= lo
+
+
+def test_separable_hits_have_every_block_at_the_same_bound(monkeypatch):
+    # the equality case of the separable reduction: if N = prod N_i over
+    # the blocks, each N_i within the bracket of its own size n_i, meets
+    # upper(n), then upper(n) = N <= prod upper(n_i) <= upper(n) holds with
+    # equality throughout, so every block is at its own upper bound, and
+    # likewise for the lower one. Every hit of the n = 3..8 sweeps that has
+    # a cut vertex and is not a join (its complement is connected) shows it.
+    monkeypatch.setenv("SEP_MAX_N", "8")
+    checked = []
+    for n in range(3, 9):
+        for row in sweep_conjecture(n).report.extremal_hits:
+            g = parse_graph6(row.graph6)
+            parts = blocks(g.adj)
+            if len(parts) == 1 or len(components(complement_rows(g.adj))) > 1:
+                continue
+            side = 0 if row.facet_count == row.lower else 1
+            assert row.facet_count == bracket(n)[side]
+            for b in parts:
+                block = induced(g, b)
+                assert count_facets(block) == bracket(block.n)[side], (row.graph6, b)
+            checked.append((row.graph6, side))
+    assert checked == [("F{dAG", 1), ("G~aGOS", 1), ("G~aIAC", 1)]
 
 
 def test_balanced_bipartite_closed_form_is_the_lower_bound():
