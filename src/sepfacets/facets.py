@@ -13,11 +13,11 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   and dropped with them when a non-tree edge fails. Because f differs by
   0 or 1 on every edge, the strict edges are the edges across the parity
   cut of f, so the spanning test depends only on the odd-labelled vertices.
-  The walk therefore floods across that cut once per set, when the set
-  first comes up, and keeps only the facets: oracle_parity_classes counts
-  them by set, building none, and its counts are the cuts of route 2 with
-  their multiplicities; enumerate_facets_oracle lists them as value tuples
-  from the same single walk.
+  The walk therefore tallies its labelings by that set and floods across
+  its cut once per set, keeping only the facets: oracle_parity_classes
+  counts them by set, building none, and its counts are the cuts of route
+  2 with their multiplicities; enumerate_facets_oracle lists them as value
+  tuples from the same single walk.
 
 * count_facets runs on adjacency rows and builds no Graph. Its per-graph
   part, _decompose, makes one flat pass over vertex sets of the input's
@@ -37,13 +37,13 @@ whole-graph sum over enumerate_facet_subgraphs, which never splits a join:
   block left to scan, of 5 or more vertices as no smaller block is a
   non-join, is scanned by _lane_sums, 2^12 cuts at a time, one cut per
   bit lane of big-int masks, which sums its stars, and its cuts with
-  |S| = 2 by a closed form of its own, without listing them;
-  count_facets scans each block it leaves as a batch of one. The lanes
+  |S| = 2 by a closed form of its own, without listing them. The lanes
   of one chunk hold the cuts of up to 2^(13-n) graphs or blocks of the
-  same size n: count_many queues the scans of many graphs by size and
-  scans a queue once it fills a chunk (256 of 5 vertices, 32 of 8, 16
-  of 9). Its per-graph
-  part, count_plan, leaves a connected graph of at most
+  same size n, and count_many runs every scan: it queues the blocks left
+  to scan by size, from the one graph of count_facets or the many of a
+  sweep, and scans a queue once it fills a chunk (256 of 5 vertices, 32
+  of 8, 16 of 9) or the input ends. Its per-graph part for a sweep,
+  count_plan, leaves a connected graph of at most
   WHOLE_SCAN_MAX_VERTICES (9) vertices whole to the scan, which in a
   shared chunk costs less than the decomposition, and decomposes a
   larger one as count_facets does. No count goes through _cuts, which
@@ -133,8 +133,9 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...],
     Either way an edge is strict exactly when its endpoints differ in
     parity, so the strict edges are those across the parity cut, and the
     spanning test depends only on the odd mask. It runs as a flood from
-    vertex 0 across the cut once per mask and call, when the mask first
-    reaches the last vertex.
+    vertex 0 across the cut once per mask and call: the walk tallies every
+    labeling by its mask and the tally is filtered once at the end, while
+    a listing tests each labeling as it is met, so it holds only facets.
 
     Vertices are labelled depth first in BFS order, each from its tree
     parent, so every completion of a labelled prefix shares it. A non-tree
@@ -203,13 +204,13 @@ def _tree_labelings(g: Graph, steps: tuple[int, ...],
                 if listing is not None and spans(up if x & 1 else odd):
                     values[v] = x
                     listing.append(tuple(values))
-        if evens and spans(odd):
+        if evens:
             tally[odd] = tally.get(odd, 0) + evens
-        if odds and spans(up):
+        if odds:
             tally[up] = tally.get(up, 0) + odds
 
     label(0, 0)
-    return tally
+    return {odd: count for odd, count in tally.items() if spans(odd)}
 
 
 def oracle_parity_classes(g: Graph) -> dict[Mask, int]:
@@ -437,18 +438,16 @@ LANE_BITS = 12
 
 
 @lru_cache(maxsize=None)
-def _lane_patterns(width: int) -> tuple[Mask, ...]:
-    """Truth-table lane masks over 2^width lanes: lane i of pattern k is set
-    when bit k of i is. Cached: width takes at most LANE_BITS + 1 values."""
-    lanes = 1 << width
+def _lane_patterns() -> tuple[Mask, ...]:
+    """Truth-table lane masks over a chunk of 2^LANE_BITS lanes: lane i of
+    pattern k is set when bit k of i is, a run of 2^k set lanes from lane
+    2^k repeated every 2^(k+1) lanes. Both lane scans take the first L of
+    them, masked to their lanes."""
     out = []
-    for k in range(width):
-        run = 1 << k
-        pattern = ((1 << run) - 1) << run
-        period = run << 1
-        while period < lanes:
-            pattern |= pattern << period
-            period <<= 1
+    for k in range(LANE_BITS):
+        pattern = (1 << (1 << k)) - 1 << (1 << k)
+        for period in range(k + 1, LANE_BITS):
+            pattern |= pattern << (1 << period)
         out.append(pattern)
     return tuple(out)
 
@@ -528,7 +527,7 @@ def _power_sums(totals: list[int], lanes: Mask, counter: list[Mask], span: int,
 def _lane_sums(blocks: list[tuple[Mask, ...]]) -> list[int]:
     """Sum of mu over the spanning connected cuts of each of blocks, all of
     n vertices, the cut count of each, computed over chunks of 2^LANE_BITS
-    big-int lanes.
+    big-int lanes for count_many, whose queue of size n is the batch.
 
     Block j takes slot j, the 2^L lanes from j 2^L, L = min(n - 1,
     LANE_BITS): a batch of n - 1 < LANE_BITS holds up to 2^(LANE_BITS - L)
@@ -581,13 +580,14 @@ def _lane_sums(blocks: list[tuple[Mask, ...]]) -> list[int]:
     span = 1 << width
     full = full_mask(n)
     ones = (1 << (len(blocks) << width)) - 1
-    lanes = [0, *(p & ones for p in _lane_patterns(LANE_BITS)[:width])]
+    lanes = [0, *(p & ones for p in _lane_patterns()[:width])]
     # An edge between vertices 0..L crosses in the same lanes in every
     # chunk, so its masks are built once per batch; its slots E_uv are bit
     # u of v's rows stacked one to a slot, spread over the slot. An edge
     # with an end above L is varying: its mask is P_u, ones ^ P_u, all ones
     # or zero, set per chunk. Only a batch of one block of n > L + 1
-    # vertices has any.
+    # vertices has any. Setting every edge's masks per chunk instead took
+    # 1.1 to 1.4 times as long on the 4x6 grid and L_12 (2-vCPU Xeon).
     fill = (1 << span) - 1
     firsts = ones // fill
     fixed: list[list[tuple[int, Mask]]] = []
@@ -745,13 +745,11 @@ def mu_of(g: Graph, part2: Mask) -> int:
 
 
 def count_facets(g: Graph) -> int:
-    """Facet count of one graph from its decomposition, _decompose: the
-    join formula, the block product, and a batch of one to _lane_sums for
-    each block left to scan, whatever its size. Refuses what count_plan
-    refuses."""
-    count, scans = _decompose(g)
-    for rows in scans:
-        count *= _lane_sums([rows])[0]
+    """Facet count of one graph: count_many's count of the one item of its
+    decomposition, _decompose, the join formula and the block product, so
+    its non-join blocks of one size share a lane chunk. Refuses what
+    count_plan refuses."""
+    ((_, count),) = count_many([(None, _decompose(g))])
     return count
 
 
@@ -766,7 +764,9 @@ Tag = TypeVar("Tag")
 # decomposition from 4 to 7 vertices, 0.63 at 8 and 0.87 at 9, then 1.21 at
 # 10 and 1.19 to 1.32 from 11 to 13. One graph at a time the decomposition
 # wins on joins, which take 1.1 to 5.5 times as long whole from 4 to 9
-# vertices, so count_facets keeps it.
+# vertices, so count_facets keeps _decompose at every size. The two plans
+# stay apart: one joins-first planner for both made the sweep8 benchmark
+# 20 to 25 % slower and identities6 8 to 11 % slower.
 WHOLE_SCAN_MAX_VERTICES = 9
 
 
@@ -813,17 +813,16 @@ def _decompose(g: Graph) -> Plan:
 
 def count_many(items: Iterable[tuple[Tag, Plan | None]]) -> Iterator[tuple[Tag, int | None]]:
     """(tag, count) for each (tag, plan) of items, in input order: plan is
-    count_plan(g) of a graph g, or None, whose count is None.
+    count_plan(g) or _decompose(g) of a graph g, or None, counted None.
 
-    The scans of many graphs share lane scans: a graph of at most
-    WHOLE_SCAN_MAX_VERTICES vertices is scanned whole, and a larger one's
-    non-join blocks, of 5 or more vertices. Each block left to scan waits
-    in the queue of its vertex count n, and a queue is scanned by one
-    _lane_sums call when it fills a chunk, 2^(LANE_BITS - n + 1) blocks
-    below LANE_BITS + 1 vertices (256 of 5 vertices) and one from there,
-    or when the input ends. Items are pulled one at a time and each count is yielded
-    once it and every earlier count are known, so at most a chunk of
-    blocks per size is held at a time.
+    Every lane scan runs here, so the blocks left to scan share lane
+    chunks, those of one graph as those of many. Each waits in the queue
+    of its vertex count n, and a queue is scanned by one _lane_sums call
+    when it fills a chunk, 2^(LANE_BITS - n + 1) blocks below LANE_BITS +
+    1 vertices (256 of 5 vertices) and one from there, or when the input
+    ends. Items are pulled one at a time and each count is yielded once
+    it and every earlier count are known, so at most a chunk of blocks
+    per size is held at a time.
     """
     pending: deque[list] = deque()
     queues: dict[int, list] = {}
@@ -997,7 +996,7 @@ def _component_power_sum(adj: tuple[Mask, ...], cover: Mask) -> int:
     n = _require_scan(adj)
     width = min(n, LANE_BITS)
     ones = (1 << (1 << width)) - 1
-    lanes = _lane_patterns(width)
+    lanes = [p & ones for p in _lane_patterns()[:width]]
     # Per cover vertex, the lanes where N[v] meets S below L, and the
     # vertices of N[v] above L, each of which puts all lanes of a chunk in.
     needs = []

@@ -704,9 +704,8 @@ def test_quotient_count_matches_strict_count(monkeypatch):
 
 
 def test_count_facets_scans_a_block_by_its_size(monkeypatch):
-    # every non-join block goes to the lane scan, a batch of one block of
-    # its size for a single graph, and none to _cuts; the total is the
-    # block product
+    # every non-join block goes to the lane scan, one batch per block size
+    # through count_many, and none to _cuts; the total is the block product
     routes = []
     cuts, lane_sums = facets._cuts, facets._lane_sums
     monkeypatch.setattr(facets, "_cuts", lambda rows: routes.append(("_cuts", len(rows)))
@@ -719,6 +718,13 @@ def test_count_facets_scans_a_block_by_its_size(monkeypatch):
     routes.clear()
     count_facets(g)
     assert sorted(routes) == [("_lane_sums", [7]), ("_lane_sums", [8])]
+    # the three C5 blocks of a 13-vertex 1-sum share one chunk
+    c5 = cycle_graph(5)
+    g = one_sum(one_sum(c5, 0, c5, 0), 6, c5, 0)
+    routes.clear()
+    assert count_facets(g) == 30**3
+    assert routes == [("_lane_sums", [5, 5, 5])]
+    assert cut_sum(g.adj) == 30**3
 
 
 def test_count_plan_scans_a_graph_of_up_to_9_vertices_whole(monkeypatch):
